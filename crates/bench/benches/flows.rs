@@ -3,7 +3,7 @@
 
 use ocr_bench::harness::{BenchmarkId, Criterion};
 use ocr_bench::{criterion_group, criterion_main};
-use ocr_core::{FourLayerChannelFlow, OverCellFlow, TwoLayerChannelFlow};
+use ocr_core::{ChannelFlow, FlowKind, FlowOptions, OverCellFlow};
 use ocr_gen::suite;
 
 fn bench_flows(c: &mut Criterion) {
@@ -26,7 +26,7 @@ fn bench_flows(c: &mut Criterion) {
             &chip,
             |b, chip| {
                 b.iter(|| {
-                    TwoLayerChannelFlow::default()
+                    ChannelFlow::default()
                         .run(&chip.layout, &chip.placement)
                         .expect("flow")
                 })
@@ -37,7 +37,8 @@ fn bench_flows(c: &mut Criterion) {
             &chip,
             |b, chip| {
                 b.iter(|| {
-                    FourLayerChannelFlow::default()
+                    FlowKind::Channel4
+                        .build_with(FlowOptions::default())
                         .run(&chip.layout, &chip.placement)
                         .expect("flow")
                 })

@@ -14,7 +14,7 @@
 //! printed to stdout only. `OCR_BENCH_QUICK=1` surveys the first suite
 //! chip alone.
 
-use ocr_core::{ordering_from_name, FlowKind, FlowOptions, OverCellFlow, RunSession};
+use ocr_core::{ordering_from_name, FlowOptions, LevelBConfig, OverCellFlow, RunSession};
 use ocr_exec::RunControl;
 use ocr_gen::suite;
 use ocr_netlist::validate_routed_design;
@@ -57,8 +57,15 @@ fn main() {
             let ordering = ordering_from_name(strategy).expect("known strategy");
             let session = RunSession::with_control(RunControl::new());
             let start = std::time::Instant::now();
-            let res = FlowKind::OverCell
-                .build_with_ordering(FlowOptions::new().salvage(true), Some(ordering))
+            let flow = OverCellFlow {
+                options: FlowOptions::new().salvage(true),
+                level_b: LevelBConfig {
+                    ordering,
+                    ..LevelBConfig::default()
+                },
+                ..OverCellFlow::default()
+            };
+            let res = flow
                 .run_controlled(&chip.layout, &chip.placement, &session)
                 .unwrap_or_else(|e| panic!("{name} under {strategy}: {e}"));
             let millis = start.elapsed().as_millis();

@@ -76,7 +76,7 @@ fn main() -> ExitCode {
         let name = chip.spec.name.as_str();
         let route = || -> FlowResult {
             FlowKind::Channel2
-                .build()
+                .build_with(FlowOptions::default())
                 .run(&chip.layout, &chip.placement)
                 .expect("channel2 flow")
         };

@@ -17,7 +17,7 @@ pub mod harness;
 
 pub use ocr_gen::rng;
 
-use ocr_core::{run_analytic_four_layer_estimate, FlowKind, FlowResult};
+use ocr_core::{run_analytic_four_layer_estimate, FlowKind, FlowOptions, FlowResult};
 use ocr_gen::GeneratedChip;
 use ocr_netlist::{validate_routed_design, RouteMetrics};
 
@@ -53,7 +53,8 @@ pub fn run_all_flows(chip: &GeneratedChip, with_four_layer: bool) -> SuiteRun {
         vec![FlowKind::OverCell, FlowKind::Channel2]
     };
     let results = ocr_exec::parallel_map(&kinds, |&kind| {
-        kind.build().run(&chip.layout, &chip.placement)
+        kind.build_with(FlowOptions::default())
+            .run(&chip.layout, &chip.placement)
     });
     let mut results: Vec<FlowResult> = kinds
         .iter()

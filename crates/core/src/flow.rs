@@ -1,30 +1,32 @@
 //! Complete routing flows: the paper's proposed two-level over-cell
 //! methodology and the channel-only baselines it is compared against.
 //!
-//! Every flow implements the [`Flow`] trait and is named by a
+//! A [`Flow`] is one of two flow types, and every flow is named by a
 //! [`FlowKind`], so drivers dispatch generically — *any flow × any
 //! chip* — instead of matching on concrete types:
 //!
 //! ```
-//! # use ocr_core::flow::FlowKind;
-//! let flow = FlowKind::from_name("channel2").expect("known flow").build();
+//! # use ocr_core::flow::{FlowKind, FlowOptions};
+//! let flow = FlowKind::from_name("channel2")
+//!     .expect("known flow")
+//!     .build_with(FlowOptions::new());
 //! ```
 //!
 //! * [`OverCellFlow`] (`"overcell"`) — the proposed router: net
 //!   partitioning, Level A channel routing on metal1/metal2, then Level
 //!   B over-cell routing on metal3/metal4 over the fixed topology.
-//! * [`TwoLayerChannelFlow`] (`"channel2"`) — the Table 2 baseline:
-//!   every net routed through channels with two layers.
-//! * [`ThreeLayerChannelFlow`] (`"channel3"`) — the HVH comparator.
-//! * [`FourLayerChannelFlow`] (`"channel4"`) — the Table 3 real
-//!   comparator: every net through channels with the four-layer
-//!   layer-pair decomposition.
+//! * [`ChannelFlow`] — every net routed through the channels by one
+//!   channel router: two layers (`"channel2"`, the Table 2 baseline and
+//!   the default), three-layer HVH (`"channel3"`), or the four-layer
+//!   layer-pair decomposition (`"channel4"`, the Table 3 real
+//!   comparator).
 //! * [`run_analytic_four_layer_estimate`] — the paper's own Table 3
 //!   comparator: the two-layer result re-laid-out under the "optimistic
 //!   assumption" of half the tracks at the coarser four-layer pitch.
 //!
-//! Options shared by all flows (the independent oracle and its
-//! strictness) live in [`FlowOptions`] rather than per-flow fields.
+//! Options shared by all flows (the independent oracle, its strictness,
+//! telemetry and salvage) live in [`FlowOptions`] rather than per-flow
+//! fields.
 
 use crate::ckpt::RunSession;
 use crate::config::LevelBConfig;
@@ -34,7 +36,7 @@ use crate::level_b::LevelBRouter;
 use crate::partition::{partition_nets, PartitionStrategy};
 use crate::stats::RoutingStats;
 use ocr_channel::{
-    ChannelFrame, ChannelRouterKind, ChipChannelOptions, ChipChannelResult, MultilayerOptions,
+    ChannelError, ChannelFrame, ChannelRouterKind, ChipChannelOptions, ChipChannelResult,
 };
 use ocr_exec::TripReason;
 use ocr_geom::Coord;
@@ -42,6 +44,7 @@ use ocr_io::ckpt::{write_checkpoint, CheckpointDoc};
 use ocr_netlist::{Layout, NetId, RouteMetrics, RoutedDesign, RowPlacement};
 use ocr_verify::{VerifyOptions, VerifyReport};
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// The output of any complete flow.
 #[derive(Clone, Debug)]
@@ -163,17 +166,24 @@ impl FlowOptions {
 
 /// A complete routing flow: given a layout and a row placement, produce
 /// a routed design with metrics (and optionally an oracle report).
-///
-/// All four concrete flows implement this, so drivers hold a
-/// `Box<dyn Flow>` built from a [`FlowKind`] instead of matching on
+/// Drivers build one from a [`FlowKind`] instead of matching on
 /// concrete types.
-pub trait Flow: Send + Sync {
-    /// The shared options this flow runs with.
-    fn options(&self) -> FlowOptions;
+#[derive(Clone, Debug)]
+pub enum Flow {
+    /// The proposed two-level flow.
+    OverCell(OverCellFlow),
+    /// A channel-only comparator.
+    Channel(ChannelFlow),
+}
 
-    /// Mutable access to the shared options (for drivers configuring a
-    /// boxed flow).
-    fn options_mut(&mut self) -> &mut FlowOptions;
+impl Flow {
+    /// The shared options this flow runs with.
+    pub fn options(&self) -> FlowOptions {
+        match self {
+            Flow::OverCell(f) => f.options,
+            Flow::Channel(f) => f.options,
+        }
+    }
 
     /// Runs the flow on a layout and row placement.
     ///
@@ -181,7 +191,12 @@ pub trait Flow: Send + Sync {
     ///
     /// Propagates the flow's routing errors (channel failures, Level B
     /// setup errors).
-    fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError>;
+    pub fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
+        match self {
+            Flow::OverCell(f) => f.run(layout, placement),
+            Flow::Channel(f) => f.run(layout, placement),
+        }
+    }
 
     /// Runs the flow under a [`RunSession`]: the session's
     /// [`RunControl`](ocr_exec::RunControl) is installed as the ambient
@@ -197,28 +212,30 @@ pub trait Flow: Send + Sync {
     /// The same routing errors as [`Flow::run`], plus
     /// [`RouteError::Checkpoint`] when a checkpoint cannot be written or
     /// the resume state is inconsistent with this run.
-    fn run_controlled(
+    pub fn run_controlled(
         &self,
         layout: &Layout,
         placement: &RowPlacement,
         session: &RunSession,
-    ) -> Result<FlowResult, RouteError>;
+    ) -> Result<FlowResult, RouteError> {
+        match self {
+            Flow::OverCell(f) => f.run_controlled(layout, placement, session),
+            Flow::Channel(f) => f.run_controlled(layout, placement, session),
+        }
+    }
 }
 
-/// The four flow implementations by name, for generic dispatch from
-/// CLIs, tests and benchmarks.
+/// The four flows by name, for generic dispatch from CLIs, tests and
+/// benchmarks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FlowKind {
     /// The proposed over-cell flow ([`OverCellFlow`], `"overcell"`).
     OverCell,
-    /// Two-layer all-channel baseline ([`TwoLayerChannelFlow`],
-    /// `"channel2"`).
+    /// Two-layer all-channel baseline (`"channel2"`).
     Channel2,
-    /// Three-layer HVH comparator ([`ThreeLayerChannelFlow`],
-    /// `"channel3"`).
+    /// Three-layer HVH comparator (`"channel3"`).
     Channel3,
-    /// Four-layer HV+HV comparator ([`FourLayerChannelFlow`],
-    /// `"channel4"`).
+    /// Four-layer HV+HV comparator (`"channel4"`).
     Channel4,
 }
 
@@ -253,71 +270,29 @@ impl FlowKind {
         }
     }
 
-    /// Builds the flow with default configuration and options.
-    pub fn build(self) -> Box<dyn Flow> {
-        self.build_with(FlowOptions::default())
-    }
-
-    /// Builds the flow with the given shared options and, for the
-    /// over-cell flow, a Level B net-ordering policy. Channel flows have
-    /// no serial net loop, so `ordering` is ignored for them — callers
-    /// that must reject the combination (e.g. `ocr serve`'s per-job
-    /// `order=`) validate before building.
-    pub fn build_with_ordering(
-        self,
-        options: FlowOptions,
-        ordering: Option<crate::order::NetOrdering>,
-    ) -> Box<dyn Flow> {
-        match (self, ordering) {
-            (FlowKind::OverCell, Some(ordering)) => Box::new(OverCellFlow {
-                options,
-                level_b: LevelBConfig {
-                    ordering,
-                    ..LevelBConfig::default()
-                },
-                ..OverCellFlow::default()
-            }),
-            (kind, _) => kind.build_with(options),
-        }
-    }
-
-    /// Builds the flow with the given shared options and, for the
-    /// over-cell flow, a full Level B configuration (cost weights,
-    /// ordering, window policy, …). Channel flows have no Level B stage,
-    /// so `level_b` is ignored for them — callers that must reject the
-    /// combination validate before building.
-    pub fn build_with_level_b(self, options: FlowOptions, level_b: LevelBConfig) -> Box<dyn Flow> {
-        match self {
-            FlowKind::OverCell => Box::new(OverCellFlow {
-                options,
-                level_b,
-                ..OverCellFlow::default()
-            }),
-            kind => kind.build_with(options),
-        }
-    }
-
     /// Builds the flow with default configuration and the given shared
-    /// options.
-    pub fn build_with(self, options: FlowOptions) -> Box<dyn Flow> {
-        match self {
-            FlowKind::OverCell => Box::new(OverCellFlow {
-                options,
-                ..OverCellFlow::default()
-            }),
-            FlowKind::Channel2 => Box::new(TwoLayerChannelFlow {
-                options,
-                ..TwoLayerChannelFlow::default()
-            }),
-            FlowKind::Channel3 => Box::new(ThreeLayerChannelFlow {
-                options,
-                ..ThreeLayerChannelFlow::default()
-            }),
-            FlowKind::Channel4 => Box::new(FourLayerChannelFlow {
-                options,
-                ..FourLayerChannelFlow::default()
-            }),
-        }
+    /// options. The channel flows run their router with default options
+    /// at the rules-derived pitch. A non-default Level B configuration
+    /// is set on an [`OverCellFlow`] directly.
+    pub fn build_with(self, options: FlowOptions) -> Flow {
+        let router = match self {
+            FlowKind::OverCell => {
+                return Flow::OverCell(OverCellFlow {
+                    options,
+                    ..OverCellFlow::default()
+                })
+            }
+            FlowKind::Channel2 => ChannelRouterKind::TwoLayer(Default::default()),
+            FlowKind::Channel3 => ChannelRouterKind::ThreeLayer(Default::default()),
+            FlowKind::Channel4 => ChannelRouterKind::FourLayer(Default::default()),
+        };
+        Flow::Channel(ChannelFlow {
+            channel: ChipChannelOptions {
+                router,
+                pitch: None,
+            },
+            options,
+        })
     }
 }
 
@@ -345,23 +320,30 @@ fn maybe_verify(
     })
 }
 
-/// Wraps a flow body with telemetry collection when `options.telemetry`
-/// is set: a fresh collector is installed for the duration of the run
-/// (pool workers inherit it through `ocr-exec`), and its snapshot is
-/// attached to the result. With the flag off this is a plain call —
-/// instrumented code paths see no collector and record nothing.
-pub(crate) fn run_with_telemetry(
+/// Runs a flow body. Under a session, the session's control is
+/// installed as the ambient control for the whole run, and the body gets
+/// the session back. When `options.telemetry` is set, a fresh collector
+/// is installed for the duration of the run (pool workers inherit it
+/// through `ocr-exec`), and its snapshot is attached to the result. With
+/// the flag off, instrumented code paths see no collector and record
+/// nothing.
+pub(crate) fn run_with_context(
     options: FlowOptions,
-    f: impl FnOnce() -> Result<FlowResult, RouteError>,
+    session: Option<&RunSession>,
+    body: impl FnOnce(Option<&RunSession>) -> Result<FlowResult, RouteError>,
 ) -> Result<FlowResult, RouteError> {
     // Chaos hook: an armed plan may panic a whole flow run here; the
     // chaos harness isolates it through `parallel_map_isolated`.
     ocr_fault::point("flow.run");
+    let run = || match session {
+        Some(s) => ocr_exec::with_control(&s.control, || body(session)),
+        None => body(None),
+    };
     if !options.telemetry {
-        return f();
+        return run();
     }
     let collector = ocr_obs::Collector::new();
-    let mut result = ocr_obs::with_collector(&collector, f)?;
+    let mut result = ocr_obs::with_collector(&collector, run)?;
     result.telemetry = Some(collector.snapshot());
     Ok(result)
 }
@@ -465,9 +447,8 @@ fn interrupted_result(
 
 /// Splits the nets into sets A and B under the flow's partition
 /// strategy (the `AreaBudget` strategy takes its priority from the
-/// criticality order). Shared by [`OverCellFlow::run`] and the
-/// portfolio racer, which partitions once and races only Level B.
-pub(crate) fn partition_sets(
+/// criticality order).
+fn partition_sets(
     partition: &PartitionStrategy,
     layout: &Layout,
     placement: &RowPlacement,
@@ -491,52 +472,40 @@ pub(crate) fn partition_sets(
     }
 }
 
-/// The shared body of the three channel-only flows: partition everything
-/// into set A, route the chip channels with the flow's options, and
-/// assemble. Under a session, a pre-tripped control or an interrupted
-/// channel stage produces the all-failed [`interrupted_result`], and a
-/// completed run leaves a header-only checkpoint behind.
-fn run_channel_flow(
-    options: FlowOptions,
+/// Level A's outcome: the routed chip channels with sets A and B, or,
+/// when a session's control tripped, the finished all-failed result.
+pub(crate) type LevelA = ControlFlow<FlowResult, (ChipChannelResult, Vec<NetId>, Vec<NetId>)>;
+
+/// Level A, shared by every flow: `split` divides the nets into sets A
+/// and B, and set A is routed through the chip channels inside the
+/// `span`, which fixes the topology. Under a session, a control that
+/// tripped before the stage or during it yields the all-failed
+/// [`interrupted_result`] (partial channel heights are unusable);
+/// without one, an interruption is a plain error.
+fn route_level_a(
+    span: &'static str,
     layout: &Layout,
     placement: &RowPlacement,
-    opts: ChipChannelOptions,
+    split: impl FnOnce() -> Result<(Vec<NetId>, Vec<NetId>), RouteError>,
+    channel: ChipChannelOptions,
+    options: FlowOptions,
     session: Option<&RunSession>,
-) -> Result<FlowResult, RouteError> {
-    if let Some(s) = session {
-        if s.control.is_tripped() {
-            return interrupted_result(layout, placement, options, s);
-        }
+) -> Result<LevelA, RouteError> {
+    if let Some(s) = session.filter(|s| s.control.is_tripped()) {
+        return interrupted_result(layout, placement, options, s).map(ControlFlow::Break);
     }
-    let (set_a, _) = partition_nets(layout, &PartitionStrategy::AllA)?;
-    let a = {
-        let _span = ocr_obs::span("flow.channels");
-        match ocr_channel::route_chip_channels(layout, placement, &set_a, opts) {
-            Ok(a) => a,
-            Err(ocr_channel::ChannelError::Interrupted) if session.is_some() => {
-                return interrupted_result(
-                    layout,
-                    placement,
-                    options,
-                    session.expect("guarded by the match arm"),
-                );
-            }
-            Err(e) => return Err(e.into()),
+    let (set_a, set_b) = split()?;
+    let _span = ocr_obs::span(span);
+    match (
+        ocr_channel::route_chip_channels(layout, placement, &set_a, channel),
+        session,
+    ) {
+        (Ok(a), _) => Ok(ControlFlow::Continue((a, set_a, set_b))),
+        (Err(ChannelError::Interrupted), Some(s)) => {
+            interrupted_result(layout, placement, options, s).map(ControlFlow::Break)
         }
-    };
-    if let Some(s) = session {
-        write_header_checkpoint(layout, options, s)?;
+        (Err(e), _) => Err(e.into()),
     }
-    // Channel-only flows have no Level B stage to degrade, so a
-    // salvage run reports an empty (complete) degradation.
-    Ok(assemble_result(
-        a,
-        set_a,
-        Vec::new(),
-        None,
-        options,
-        options.salvage.then(Degradation::default),
-    ))
 }
 
 /// The proposed two-level flow.
@@ -572,7 +541,7 @@ impl OverCellFlow {
     /// Individual Level B net failures are recorded in the design, not
     /// returned.
     pub fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
-        run_with_telemetry(self.options, || self.run_inner(layout, placement, None))
+        run_with_context(self.options, None, |s| self.run_inner(layout, placement, s))
     }
 
     /// [`OverCellFlow::run`] under a [`RunSession`] — see
@@ -587,11 +556,38 @@ impl OverCellFlow {
         placement: &RowPlacement,
         session: &RunSession,
     ) -> Result<FlowResult, RouteError> {
-        run_with_telemetry(self.options, || {
-            ocr_exec::with_control(&session.control, || {
-                self.run_inner(layout, placement, Some(session))
-            })
+        run_with_context(self.options, Some(session), |s| {
+            self.run_inner(layout, placement, s)
         })
+    }
+
+    /// Level A of this flow: its partition, on metal1/metal2.
+    pub(crate) fn run_level_a(
+        &self,
+        layout: &Layout,
+        placement: &RowPlacement,
+        session: Option<&RunSession>,
+    ) -> Result<LevelA, RouteError> {
+        let split = || partition_sets(&self.partition, layout, placement);
+        let span = "flow.level_a";
+        route_level_a(
+            span,
+            layout,
+            placement,
+            split,
+            self.level_a,
+            self.options,
+            session,
+        )
+    }
+
+    /// The Level B configuration a run uses: `level_b` with
+    /// [`FlowOptions::salvage`] folded into its salvage flag.
+    pub(crate) fn level_b_config(&self) -> LevelBConfig {
+        LevelBConfig {
+            salvage: self.level_b.salvage || self.options.salvage,
+            ..self.level_b.clone()
+        }
     }
 
     fn run_inner(
@@ -600,33 +596,12 @@ impl OverCellFlow {
         placement: &RowPlacement,
         session: Option<&RunSession>,
     ) -> Result<FlowResult, RouteError> {
-        if let Some(s) = session {
-            if s.control.is_tripped() {
-                return interrupted_result(layout, placement, self.options, s);
-            }
-        }
-        let (set_a, set_b) = partition_sets(&self.partition, layout, placement)?;
-        // Level A: channels on metal1/metal2; fixes the topology. A
-        // tripped control abandons the whole stage (partial channel
-        // heights are unusable), so the run degrades to all-failed.
-        let mut a = {
-            let _span = ocr_obs::span("flow.level_a");
-            match ocr_channel::route_chip_channels(layout, placement, &set_a, self.level_a) {
-                Ok(a) => a,
-                Err(ocr_channel::ChannelError::Interrupted) if session.is_some() => {
-                    return interrupted_result(
-                        layout,
-                        placement,
-                        self.options,
-                        session.expect("guarded by the match arm"),
-                    );
-                }
-                Err(e) => return Err(e.into()),
-            }
+        let (mut a, set_a, set_b) = match self.run_level_a(layout, placement, session)? {
+            ControlFlow::Continue(level_a) => level_a,
+            ControlFlow::Break(interrupted) => return Ok(interrupted),
         };
         // Level B: over the entire (expanded) layout area.
-        let mut level_b = self.level_b.clone();
-        level_b.salvage = level_b.salvage || self.options.salvage;
+        let level_b = self.level_b_config();
         let salvage = level_b.salvage;
         let b = {
             let _span = ocr_obs::span("flow.level_b");
@@ -649,266 +624,83 @@ impl OverCellFlow {
     }
 }
 
-impl Flow for OverCellFlow {
-    fn options(&self) -> FlowOptions {
-        self.options
-    }
-
-    fn options_mut(&mut self) -> &mut FlowOptions {
-        &mut self.options
-    }
-
-    fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
-        OverCellFlow::run(self, layout, placement)
-    }
-
-    fn run_controlled(
-        &self,
-        layout: &Layout,
-        placement: &RowPlacement,
-        session: &RunSession,
-    ) -> Result<FlowResult, RouteError> {
-        OverCellFlow::run_controlled(self, layout, placement, session)
-    }
-}
-
-/// The two-layer all-channel baseline flow.
+/// A channel-only comparator: every net routed through the channels by
+/// `channel.router`. The default is the two-layer router, the Table 2
+/// baseline; the three-layer HVH router is the kind of multi-layer
+/// channel router the paper's related work (Chen & Liu, Bruell & Sun)
+/// provided, and the four-layer layer-pair decomposition is the Table 3
+/// real comparator.
 #[derive(Clone, Debug, Default)]
-pub struct TwoLayerChannelFlow {
-    /// Chip-channel options (router kind forced to two-layer).
+pub struct ChannelFlow {
+    /// Chip-channel options: the channel router and the column pitch.
     pub channel: ChipChannelOptions,
     /// Shared flow options (oracle verification).
     pub options: FlowOptions,
 }
 
-impl TwoLayerChannelFlow {
-    fn channel_opts(&self) -> ChipChannelOptions {
-        let mut opts = self.channel;
-        if let ChannelRouterKind::FourLayer(_) = opts.router {
-            opts.router = ChannelRouterKind::TwoLayer(Default::default());
-        }
-        opts
-    }
-
-    /// Runs the baseline on a layout and placement.
-    ///
-    /// # Errors
-    ///
-    /// Propagates channel routing errors.
-    pub fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
-        run_with_telemetry(self.options, || {
-            run_channel_flow(self.options, layout, placement, self.channel_opts(), None)
-        })
-    }
-
-    /// [`TwoLayerChannelFlow::run`] under a [`RunSession`] — see
-    /// [`Flow::run_controlled`].
-    ///
-    /// # Errors
-    ///
-    /// As [`TwoLayerChannelFlow::run`], plus [`RouteError::Checkpoint`].
-    pub fn run_controlled(
-        &self,
-        layout: &Layout,
-        placement: &RowPlacement,
-        session: &RunSession,
-    ) -> Result<FlowResult, RouteError> {
-        run_with_telemetry(self.options, || {
-            ocr_exec::with_control(&session.control, || {
-                run_channel_flow(
-                    self.options,
-                    layout,
-                    placement,
-                    self.channel_opts(),
-                    Some(session),
-                )
-            })
-        })
-    }
-}
-
-impl Flow for TwoLayerChannelFlow {
-    fn options(&self) -> FlowOptions {
-        self.options
-    }
-
-    fn options_mut(&mut self) -> &mut FlowOptions {
-        &mut self.options
-    }
-
-    fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
-        TwoLayerChannelFlow::run(self, layout, placement)
-    }
-
-    fn run_controlled(
-        &self,
-        layout: &Layout,
-        placement: &RowPlacement,
-        session: &RunSession,
-    ) -> Result<FlowResult, RouteError> {
-        TwoLayerChannelFlow::run_controlled(self, layout, placement, session)
-    }
-}
-
-/// The three-layer (HVH) all-channel comparator flow — the kind of
-/// multi-layer channel router the paper's related work (Chen & Liu,
-/// Bruell & Sun) provided.
-#[derive(Clone, Debug, Default)]
-pub struct ThreeLayerChannelFlow {
-    /// Options for the per-channel two-lane left-edge run.
-    pub lea: ocr_channel::LeftEdgeOptions,
-    /// Column pitch override.
-    pub pitch: Option<Coord>,
-    /// Shared flow options (oracle verification).
-    pub options: FlowOptions,
-}
-
-impl ThreeLayerChannelFlow {
-    fn channel_opts(&self) -> ChipChannelOptions {
-        ChipChannelOptions {
-            router: ChannelRouterKind::ThreeLayer(self.lea),
-            pitch: self.pitch,
-        }
-    }
-
+impl ChannelFlow {
     /// Runs the comparator on a layout and placement.
     ///
     /// # Errors
     ///
     /// Propagates channel routing errors.
     pub fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
-        run_with_telemetry(self.options, || {
-            run_channel_flow(self.options, layout, placement, self.channel_opts(), None)
-        })
+        run_with_context(self.options, None, |s| self.run_inner(layout, placement, s))
     }
 
-    /// [`ThreeLayerChannelFlow::run`] under a [`RunSession`] — see
+    /// [`ChannelFlow::run`] under a [`RunSession`] — see
     /// [`Flow::run_controlled`].
     ///
     /// # Errors
     ///
-    /// As [`ThreeLayerChannelFlow::run`], plus
-    /// [`RouteError::Checkpoint`].
+    /// As [`ChannelFlow::run`], plus [`RouteError::Checkpoint`].
     pub fn run_controlled(
         &self,
         layout: &Layout,
         placement: &RowPlacement,
         session: &RunSession,
     ) -> Result<FlowResult, RouteError> {
-        run_with_telemetry(self.options, || {
-            ocr_exec::with_control(&session.control, || {
-                run_channel_flow(
-                    self.options,
-                    layout,
-                    placement,
-                    self.channel_opts(),
-                    Some(session),
-                )
-            })
+        run_with_context(self.options, Some(session), |s| {
+            self.run_inner(layout, placement, s)
         })
     }
-}
 
-impl Flow for ThreeLayerChannelFlow {
-    fn options(&self) -> FlowOptions {
-        self.options
-    }
-
-    fn options_mut(&mut self) -> &mut FlowOptions {
-        &mut self.options
-    }
-
-    fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
-        ThreeLayerChannelFlow::run(self, layout, placement)
-    }
-
-    fn run_controlled(
+    /// Every net goes to set A; a completed run under a session leaves
+    /// a header-only checkpoint behind.
+    fn run_inner(
         &self,
         layout: &Layout,
         placement: &RowPlacement,
-        session: &RunSession,
+        session: Option<&RunSession>,
     ) -> Result<FlowResult, RouteError> {
-        ThreeLayerChannelFlow::run_controlled(self, layout, placement, session)
-    }
-}
-
-/// The four-layer all-channel comparator flow.
-#[derive(Clone, Debug, Default)]
-pub struct FourLayerChannelFlow {
-    /// Options for the per-channel layer-pair decomposition.
-    pub multilayer: MultilayerOptions,
-    /// Column pitch override.
-    pub pitch: Option<Coord>,
-    /// Shared flow options (oracle verification).
-    pub options: FlowOptions,
-}
-
-impl FourLayerChannelFlow {
-    fn channel_opts(&self) -> ChipChannelOptions {
-        ChipChannelOptions {
-            router: ChannelRouterKind::FourLayer(self.multilayer),
-            pitch: self.pitch,
+        let split = || partition_nets(layout, &PartitionStrategy::AllA);
+        let span = "flow.channels";
+        let level_a = route_level_a(
+            span,
+            layout,
+            placement,
+            split,
+            self.channel,
+            self.options,
+            session,
+        )?;
+        let (a, set_a, _) = match level_a {
+            ControlFlow::Continue(level_a) => level_a,
+            ControlFlow::Break(interrupted) => return Ok(interrupted),
+        };
+        if let Some(s) = session {
+            write_header_checkpoint(layout, self.options, s)?;
         }
-    }
-
-    /// Runs the comparator on a layout and placement.
-    ///
-    /// # Errors
-    ///
-    /// Propagates channel routing errors.
-    pub fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
-        run_with_telemetry(self.options, || {
-            run_channel_flow(self.options, layout, placement, self.channel_opts(), None)
-        })
-    }
-
-    /// [`FourLayerChannelFlow::run`] under a [`RunSession`] — see
-    /// [`Flow::run_controlled`].
-    ///
-    /// # Errors
-    ///
-    /// As [`FourLayerChannelFlow::run`], plus
-    /// [`RouteError::Checkpoint`].
-    pub fn run_controlled(
-        &self,
-        layout: &Layout,
-        placement: &RowPlacement,
-        session: &RunSession,
-    ) -> Result<FlowResult, RouteError> {
-        run_with_telemetry(self.options, || {
-            ocr_exec::with_control(&session.control, || {
-                run_channel_flow(
-                    self.options,
-                    layout,
-                    placement,
-                    self.channel_opts(),
-                    Some(session),
-                )
-            })
-        })
-    }
-}
-
-impl Flow for FourLayerChannelFlow {
-    fn options(&self) -> FlowOptions {
-        self.options
-    }
-
-    fn options_mut(&mut self) -> &mut FlowOptions {
-        &mut self.options
-    }
-
-    fn run(&self, layout: &Layout, placement: &RowPlacement) -> Result<FlowResult, RouteError> {
-        FourLayerChannelFlow::run(self, layout, placement)
-    }
-
-    fn run_controlled(
-        &self,
-        layout: &Layout,
-        placement: &RowPlacement,
-        session: &RunSession,
-    ) -> Result<FlowResult, RouteError> {
-        FourLayerChannelFlow::run_controlled(self, layout, placement, session)
+        // Channel-only flows have no Level B stage to degrade, so a
+        // salvage run reports an empty (complete) degradation.
+        Ok(assemble_result(
+            a,
+            set_a,
+            Vec::new(),
+            None,
+            self.options,
+            self.options.salvage.then(Degradation::default),
+        ))
     }
 }
 
@@ -1005,9 +797,9 @@ mod tests {
     #[test]
     fn two_layer_baseline_routes_everything() {
         let (l, p) = chip();
-        let flow = TwoLayerChannelFlow {
+        let flow = ChannelFlow {
             channel: opts10(),
-            ..TwoLayerChannelFlow::default()
+            ..ChannelFlow::default()
         };
         let res = flow.run(&l, &p).expect("flow");
         assert_eq!(res.metrics.routed_nets, 3);
@@ -1018,9 +810,12 @@ mod tests {
     #[test]
     fn four_layer_baseline_routes_everything() {
         let (l, p) = chip();
-        let flow = FourLayerChannelFlow {
-            pitch: Some(20),
-            ..FourLayerChannelFlow::default()
+        let flow = ChannelFlow {
+            channel: ChipChannelOptions {
+                router: ChannelRouterKind::FourLayer(Default::default()),
+                pitch: Some(20),
+            },
+            ..ChannelFlow::default()
         };
         let res = flow.run(&l, &p).expect("flow");
         assert_eq!(res.metrics.routed_nets, 3);
@@ -1037,9 +832,9 @@ mod tests {
         }
         .run(&l, &p)
         .expect("over-cell");
-        let two = TwoLayerChannelFlow {
+        let two = ChannelFlow {
             channel: opts10(),
-            ..TwoLayerChannelFlow::default()
+            ..ChannelFlow::default()
         }
         .run(&l, &p)
         .expect("two-layer");
@@ -1054,9 +849,9 @@ mod tests {
     #[test]
     fn analytic_estimate_is_bounded() {
         let (l, p) = chip();
-        let two = TwoLayerChannelFlow {
+        let two = ChannelFlow {
             channel: opts10(),
-            ..TwoLayerChannelFlow::default()
+            ..ChannelFlow::default()
         }
         .run(&l, &p)
         .expect("two-layer");
@@ -1093,9 +888,9 @@ mod tests {
         let report = res.verify.expect("verify flag set, report attached");
         assert!(report.is_clean(), "{report}");
 
-        let silent = TwoLayerChannelFlow {
+        let silent = ChannelFlow {
             channel: opts10(),
-            ..TwoLayerChannelFlow::default()
+            ..ChannelFlow::default()
         }
         .run(&l, &p)
         .expect("flow");
@@ -1105,7 +900,7 @@ mod tests {
     #[test]
     fn flow_kind_builds_and_runs_every_flow() {
         let (mut l, p) = chip();
-        // Boxed flows run at the rules-derived pitch; make it match the
+        // Built flows run at the rules-derived pitch; make it match the
         // fixture's 20-unit pin grid on every layer.
         l.rules = ocr_netlist::DesignRules::uniform(ocr_netlist::LayerRules {
             wire_width: 8,
@@ -1116,6 +911,25 @@ mod tests {
             assert_eq!(FlowKind::from_name(kind.name()), Some(kind));
             let flow = kind.build_with(FlowOptions::verified());
             assert_eq!(flow.options(), FlowOptions::verified());
+            assert_eq!(
+                matches!(flow, Flow::OverCell(_)),
+                kind == FlowKind::OverCell
+            );
+            // The router defaults the benchmark's traced op mirrors:
+            // default router options at the rules-derived pitch.
+            let channel = match &flow {
+                Flow::OverCell(f) => f.level_a,
+                Flow::Channel(f) => f.channel,
+            };
+            let router = match kind {
+                FlowKind::OverCell | FlowKind::Channel2 => {
+                    ChannelRouterKind::TwoLayer(Default::default())
+                }
+                FlowKind::Channel3 => ChannelRouterKind::ThreeLayer(Default::default()),
+                FlowKind::Channel4 => ChannelRouterKind::FourLayer(Default::default()),
+            };
+            assert_eq!(channel.router, router, "{kind}");
+            assert_eq!(channel.pitch, None, "{kind}");
             let res = flow.run(&l, &p).unwrap_or_else(|e| panic!("{kind}: {e}"));
             assert_eq!(res.metrics.routed_nets, 3, "{kind}");
             assert!(res.verify.is_some(), "{kind}");

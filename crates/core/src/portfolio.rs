@@ -53,11 +53,12 @@ use crate::ckpt::RunSession;
 use crate::config::LevelBConfig;
 use crate::degrade::DegradeReason;
 use crate::error::RouteError;
-use crate::flow::{assemble_result, partition_sets, run_with_telemetry, FlowResult, OverCellFlow};
+use crate::flow::{assemble_result, run_with_context, FlowResult, OverCellFlow};
 use crate::level_b::{LevelBResult, LevelBRouter};
 use crate::order::{CongestionAware, CriticalityAware, NetOrdering, SeededShuffle};
 use ocr_exec::{ControlGroup, RunControl};
 use ocr_netlist::{Layout, NetId, RowPlacement};
+use std::ops::ControlFlow;
 
 /// The canonical `k`-strategy roster: `longest` (index 0, the paper's
 /// default), `congestion`, `criticality`, then seeded shuffles
@@ -157,7 +158,7 @@ impl OverCellFlow {
         k: usize,
     ) -> Result<(FlowResult, PortfolioReport), RouteError> {
         let mut report = None;
-        let result = run_with_telemetry(self.options, || {
+        let result = run_with_context(self.options, None, |_| {
             let (result, r) = self.run_portfolio_inner(layout, placement, k)?;
             report = Some(r);
             Ok(result)
@@ -172,14 +173,13 @@ impl OverCellFlow {
         k: usize,
     ) -> Result<(FlowResult, PortfolioReport), RouteError> {
         let _span = ocr_obs::span("order.portfolio");
-        let (set_a, set_b) = partition_sets(&self.partition, layout, placement)?;
         // Level A once: the channel stage is ordering-independent.
-        let mut a = {
-            let _span = ocr_obs::span("flow.level_a");
-            ocr_channel::route_chip_channels(layout, placement, &set_a, self.level_a)?
+        let ControlFlow::Continue((mut a, set_a, set_b)) =
+            self.run_level_a(layout, placement, None)?
+        else {
+            unreachable!("without a session, Level A never ends in an interrupted result");
         };
-        let mut base = self.level_b.clone();
-        base.salvage = base.salvage || self.options.salvage;
+        let base = self.level_b_config();
         let roster = portfolio_roster(k);
         let k = roster.len();
         ocr_obs::count("order.strategies", k as u64);

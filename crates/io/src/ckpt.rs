@@ -69,11 +69,12 @@ pub struct CheckpointDoc {
     pub retries: Vec<(NetId, u64)>,
 }
 
-/// FNV-1a 64-bit hash of `text` — the chip identity fingerprint
-/// recorded in checkpoint headers.
-pub fn fnv1a_64(text: &str) -> u64 {
+/// FNV-1a 64-bit hash of `bytes` — the chip identity fingerprint
+/// recorded in checkpoint headers, and the checksum of journal records
+/// and wire frames.
+pub fn fnv1a_64<T: AsRef<[u8]> + ?Sized>(bytes: &T) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.bytes() {
+    for &b in bytes.as_ref() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }

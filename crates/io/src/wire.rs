@@ -23,6 +23,7 @@
 //! field larger than its `max_frame` budget *before* reading the body,
 //! so a hostile header cannot balloon memory.
 
+use crate::ckpt::fnv1a_64;
 use crate::job::{parse_jobs, JobSpec, JOBS_MAGIC};
 use std::fmt;
 use std::io::{Read, Write};
@@ -36,16 +37,6 @@ pub const MAX_HEADER_BYTES: usize = 64;
 
 /// Default cap on a frame's payload length.
 pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
-
-/// FNV-1a 64 over raw bytes (the checksum of a frame payload).
-pub fn fnv1a_64_bytes(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// A typed wire failure. Every malformed, torn, or oversized input
 /// maps to one of these — the protocol layer never panics.
@@ -139,7 +130,7 @@ fn io_error(e: std::io::Error, context: &str) -> WireError {
 /// Renders one frame (header, payload, trailing newline) as bytes.
 pub fn frame(payload: &str) -> Vec<u8> {
     let bytes = payload.as_bytes();
-    let mut out = format!("f {} {:016x}\n", bytes.len(), fnv1a_64_bytes(bytes)).into_bytes();
+    let mut out = format!("f {} {:016x}\n", bytes.len(), fnv1a_64(bytes)).into_bytes();
     out.extend_from_slice(bytes);
     out.push(b'\n');
     out
@@ -253,7 +244,7 @@ pub fn read_frame(r: &mut dyn Read, max_frame: usize) -> Result<Option<String>, 
             "payload not followed by a newline (length mismatch)".to_string(),
         ));
     }
-    if fnv1a_64_bytes(&payload) != sum {
+    if fnv1a_64(&payload) != sum {
         return Err(WireError::ChecksumMismatch);
     }
     String::from_utf8(payload)
@@ -553,15 +544,6 @@ mod tests {
             assert!(read_frame(&mut r, DEFAULT_MAX_FRAME)
                 .expect("clean eof")
                 .is_none());
-        }
-    }
-
-    #[test]
-    fn checksum_matches_the_str_fnv() {
-        // The byte-wise FNV must agree with ocr-io's string FNV so the
-        // two framings (journal, wire) hash identical text identically.
-        for text in ["", "abc", "submit alpha\nchip"] {
-            assert_eq!(fnv1a_64_bytes(text.as_bytes()), crate::ckpt::fnv1a_64(text));
         }
     }
 

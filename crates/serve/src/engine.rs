@@ -4,7 +4,7 @@
 
 use crate::journal::{JobJournal, RecoveredJob};
 use crate::{record_of, JobInput, JobStatus, LoadedChip, ServeConfig, ServeError};
-use ocr_core::{resume_from_doc, CheckpointSpec, FlowOptions, FlowResult, RunSession};
+use ocr_core::{resume_from_doc, CheckpointSpec, Flow, FlowOptions, FlowResult, RunSession};
 use ocr_exec::{RunControl, TaskOutcome, TripReason};
 use ocr_io::ckpt::parse_checkpoint;
 use ocr_io::job::{valid_job_name, write_results, JobRecord, JobSpec};
@@ -312,8 +312,12 @@ fn run_slice(task: &SliceTask<'_>) -> SliceOut {
         .telemetry(true)
         .salvage(task.salvage)
         .verify(task.verify);
-    let result = kind
-        .build_with_ordering(options, task.loaded.ordering.clone())
+    // Intake accepts `order=` on overcell jobs only.
+    let mut flow = kind.build_with(options);
+    if let (Flow::OverCell(f), Some(ordering)) = (&mut flow, &task.loaded.ordering) {
+        f.level_b.ordering = ordering.clone();
+    }
+    let result = flow
         .run_controlled(&task.loaded.layout, &task.loaded.placement, &session)
         .map_err(|e| e.to_string());
     // The checkpoint the flow just wrote (final state, at the last

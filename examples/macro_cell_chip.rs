@@ -9,7 +9,7 @@
 //! ```
 
 use overcell_router::core::{
-    run_analytic_four_layer_estimate, FourLayerChannelFlow, OverCellFlow, TwoLayerChannelFlow,
+    run_analytic_four_layer_estimate, ChannelFlow, FlowKind, FlowOptions, OverCellFlow,
 };
 use overcell_router::gen::suite;
 use overcell_router::netlist::{validate_routed_design, RouteMetrics};
@@ -25,8 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let over = OverCellFlow::default().run(&chip.layout, &chip.placement)?;
-    let two = TwoLayerChannelFlow::default().run(&chip.layout, &chip.placement)?;
-    let four = FourLayerChannelFlow::default().run(&chip.layout, &chip.placement)?;
+    let two = ChannelFlow::default().run(&chip.layout, &chip.placement)?;
+    let four = FlowKind::Channel4
+        .build_with(FlowOptions::default())
+        .run(&chip.layout, &chip.placement)?;
 
     for (name, flow) in [
         ("over-cell 4L", &over),

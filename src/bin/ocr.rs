@@ -18,7 +18,7 @@
 //! ```
 
 use overcell_router::core::{
-    ordering_from_name, resume_from_doc, CheckpointSpec, CostWeights, FlowKind, FlowOptions,
+    ordering_from_name, resume_from_doc, CheckpointSpec, CostWeights, Flow, FlowKind, FlowOptions,
     FlowResult, LevelBConfig, NetOrdering, OverCellFlow, RunSession,
 };
 use overcell_router::exec::RunControl;
@@ -726,17 +726,16 @@ fn route(args: &[String]) -> Result<(), String> {
                 .map_err(|e| e.to_string())?;
             (result, Some(report))
         }
-        Some(OrderChoice::Strategy(ordering)) => {
-            level_b.ordering = ordering;
-            let result = kind
-                .build_with_level_b(options, level_b)
-                .run_controlled(&layout, &placement, &session)
-                .map_err(|e| e.to_string())?;
-            (result, None)
-        }
-        None => {
-            let result = kind
-                .build_with_level_b(options, level_b)
+        order => {
+            if let Some(OrderChoice::Strategy(ordering)) = order {
+                level_b.ordering = ordering;
+            }
+            // --order and --weights were rejected above for channel flows.
+            let mut flow = kind.build_with(options);
+            if let Flow::OverCell(f) = &mut flow {
+                f.level_b = level_b;
+            }
+            let result = flow
                 .run_controlled(&layout, &placement, &session)
                 .map_err(|e| e.to_string())?;
             (result, None)

@@ -2,8 +2,8 @@
 //! validated for electrical correctness, plus cross-flow invariants.
 
 use overcell_router::core::{
-    run_analytic_four_layer_estimate, FlowKind, FlowOptions, OverCellFlow, PartitionStrategy,
-    ThreeLayerChannelFlow, TwoLayerChannelFlow,
+    run_analytic_four_layer_estimate, ChannelFlow, FlowKind, FlowOptions, OverCellFlow,
+    PartitionStrategy,
 };
 use overcell_router::gen::random::small_random;
 use overcell_router::gen::suite;
@@ -15,7 +15,7 @@ fn every_flow_on_many_seeds() {
         for seed in 0..6 {
             let chip = small_random(6, 2, 3, 12, seed);
             let res = kind
-                .build()
+                .build_with(FlowOptions::default())
                 .run(&chip.layout, &chip.placement)
                 .unwrap_or_else(|e| panic!("{kind} seed {seed}: {e}"));
             if kind == FlowKind::OverCell {
@@ -30,10 +30,11 @@ fn every_flow_on_many_seeds() {
 #[test]
 fn three_layer_flow_between_two_and_four_layer_tracks() {
     let chip = small_random(8, 2, 4, 16, 3);
-    let two = TwoLayerChannelFlow::default()
+    let two = ChannelFlow::default()
         .run(&chip.layout, &chip.placement)
         .expect("two-layer");
-    let three = ThreeLayerChannelFlow::default()
+    let three = FlowKind::Channel3
+        .build_with(FlowOptions::default())
         .run(&chip.layout, &chip.placement)
         .expect("three-layer");
     // Per-channel, two-lane tracks never exceed single-lane tracks.
@@ -49,7 +50,7 @@ fn over_cell_never_larger_than_two_layer_baseline() {
         let over = OverCellFlow::default()
             .run(&chip.layout, &chip.placement)
             .expect("over-cell");
-        let two = TwoLayerChannelFlow::default()
+        let two = ChannelFlow::default()
             .run(&chip.layout, &chip.placement)
             .expect("two-layer");
         assert!(
@@ -81,7 +82,7 @@ fn all_b_partition_minimizes_channels() {
 #[test]
 fn analytic_estimate_is_positive_and_bounded_by_real_two_layer_height() {
     let chip = small_random(6, 2, 3, 12, 4);
-    let two = TwoLayerChannelFlow::default()
+    let two = ChannelFlow::default()
         .run(&chip.layout, &chip.placement)
         .expect("two-layer");
     let est = run_analytic_four_layer_estimate(&two, &chip.layout);

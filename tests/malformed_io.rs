@@ -325,6 +325,35 @@ fn resume_on_a_torn_checkpoint_reports_a_clean_diagnostic() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn channel_flows_refuse_level_b_flags() {
+    // Channel flows have no Level B stage, and the CLI check is what
+    // keeps a Level B setting off them: `--order` or `--weights` with
+    // `--flow channel2` exits non-zero naming the flag.
+    let chip = small_random(6, 2, 3, 10, 42);
+    let dir = std::env::temp_dir().join(format!("ocr-channel-level-b-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let chip_path = dir.join("chip.ocr");
+    std::fs::write(&chip_path, write_chip(&chip.layout, &chip.placement)).expect("chip file");
+
+    for (flag, value) in [("--order", "longest"), ("--weights", "dense")] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ocr"))
+            .arg("route")
+            .arg(&chip_path)
+            .args(["--flow", "channel2", flag, value])
+            .output()
+            .expect("run ocr");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "{flag} on channel2 must fail (stderr: {stderr})"
+        );
+        let want = format!("error: route: {flag} applies to the overcell flow, not `channel2`");
+        assert!(stderr.contains(&want), "expected `{want}`, got: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A realistic multiline `ocr-wire-v1` submit frame for the fuzz
 /// tests below: options on the job line, chip text in the payload.
 fn wire_specimen() -> (String, Vec<u8>) {

@@ -9,19 +9,30 @@
 //!   `longest`, the paper's default, on any suite chip.
 
 use overcell_router::core::{
-    ordering_from_name, FlowKind, FlowOptions, LongestDistance, NetOrdering, OverCellFlow,
-    PortfolioReport,
+    ordering_from_name, FlowKind, FlowOptions, LevelBConfig, LongestDistance, NetOrdering,
+    OverCellFlow, PortfolioReport,
 };
 use overcell_router::exec::with_threads;
 use overcell_router::gen::suite;
 use overcell_router::io::write_routes;
 use overcell_router::netlist::validate_routed_design;
 
+/// The over-cell flow with an explicit Level B net ordering.
+fn ordered(options: FlowOptions, ordering: NetOrdering) -> OverCellFlow {
+    OverCellFlow {
+        options,
+        level_b: LevelBConfig {
+            ordering,
+            ..LevelBConfig::default()
+        },
+        ..OverCellFlow::default()
+    }
+}
+
 /// Routes one suite chip with an explicit ordering and salvage on, so
 /// an ordering that strands nets reports them instead of erroring.
 fn route_with(chip: &overcell_router::gen::GeneratedChip, ordering: NetOrdering) -> String {
-    let result = FlowKind::OverCell
-        .build_with_ordering(FlowOptions::new().salvage(true), Some(ordering))
+    let result = ordered(FlowOptions::new().salvage(true), ordering)
         .run(&chip.layout, &chip.placement)
         .expect("flow");
     write_routes(&result.layout, &result.design)
@@ -66,11 +77,7 @@ fn every_strategy_stays_oracle_clean_across_the_suite() {
             "shuffle:3",
         ] {
             let ordering = ordering_from_name(name).expect(name);
-            let result = FlowKind::OverCell
-                .build_with_ordering(
-                    FlowOptions::new().salvage(true).verify(true),
-                    Some(ordering),
-                )
+            let result = ordered(FlowOptions::new().salvage(true).verify(true), ordering)
                 .run(&chip.layout, &chip.placement)
                 .unwrap_or_else(|e| panic!("{} under {name}: {e}", chip.spec.name));
             let report = result.verify.expect("verify report attached");
@@ -124,11 +131,7 @@ fn portfolio_result_is_the_winners_standalone_run() {
 #[test]
 fn portfolio_is_never_worse_than_longest_on_the_suite() {
     for chip in suite::all() {
-        let longest = FlowKind::OverCell
-            .build_with_ordering(
-                FlowOptions::new().salvage(true),
-                Some(NetOrdering::LongestFirst),
-            )
+        let longest = ordered(FlowOptions::new().salvage(true), NetOrdering::LongestFirst)
             .run(&chip.layout, &chip.placement)
             .expect("longest flow");
         let unrouted = longest.stats.as_ref().map_or(0, |s| s.nets_failed);

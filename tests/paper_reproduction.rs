@@ -3,8 +3,7 @@
 //! benchmark suite. (Absolute magnitudes differ — see EXPERIMENTS.md.)
 
 use overcell_router::core::{
-    run_analytic_four_layer_estimate, FourLayerChannelFlow, OverCellFlow, ThreeLayerChannelFlow,
-    TwoLayerChannelFlow,
+    run_analytic_four_layer_estimate, ChannelFlow, FlowKind, FlowOptions, OverCellFlow,
 };
 use overcell_router::gen::suite;
 use overcell_router::netlist::{coupling_report, ChipMetrics};
@@ -43,7 +42,7 @@ fn table2_shape_over_cell_beats_two_layer() {
         let over = OverCellFlow::default()
             .run(&chip.layout, &chip.placement)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let two = TwoLayerChannelFlow::default()
+        let two = ChannelFlow::default()
             .run(&chip.layout, &chip.placement)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(over.design.failed.is_empty() && two.design.failed.is_empty());
@@ -68,10 +67,11 @@ fn table3_shape_over_cell_beats_four_layer_channels() {
         let over = OverCellFlow::default()
             .run(&chip.layout, &chip.placement)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let two = TwoLayerChannelFlow::default()
+        let two = ChannelFlow::default()
             .run(&chip.layout, &chip.placement)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let four = FourLayerChannelFlow::default()
+        let four = FlowKind::Channel4
+            .build_with(FlowOptions::default())
             .run(&chip.layout, &chip.placement)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let estimate = run_analytic_four_layer_estimate(&two, &chip.layout);
@@ -133,7 +133,8 @@ fn crosstalk_shape_channel_flows_stack_wires() {
     let over = OverCellFlow::default()
         .run(&chip.layout, &chip.placement)
         .expect("over-cell");
-    let three = ThreeLayerChannelFlow::default()
+    let three = FlowKind::Channel3
+        .build_with(FlowOptions::default())
         .run(&chip.layout, &chip.placement)
         .expect("3-layer");
     let r_over = coupling_report(&over.design, pitch);

@@ -10,7 +10,9 @@
 //! * Per-job faults (injected panics, bad specs, step caps) become
 //!   typed terminal statuses; every submission is answered.
 
-use overcell_router::core::{ordering_from_name, FlowKind, FlowOptions};
+use overcell_router::core::{
+    ordering_from_name, FlowKind, FlowOptions, LevelBConfig, OverCellFlow,
+};
 use overcell_router::exec::with_threads;
 use overcell_router::fault;
 use overcell_router::gen::random::small_random;
@@ -328,13 +330,15 @@ fn order_jobs_route_with_the_requested_strategy() {
     assert!(report.jobs[1].detail.contains("unknown ordering"));
     // The job's routes are exactly a standalone `--order criticality`
     // run — the ordering really reached the flow.
-    let direct = FlowKind::OverCell
-        .build_with_ordering(
-            FlowOptions::default(),
-            Some(ordering_from_name("criticality").expect("known ordering")),
-        )
-        .run(&chip.layout, &chip.placement)
-        .expect("direct run");
+    let direct = OverCellFlow {
+        level_b: LevelBConfig {
+            ordering: ordering_from_name("criticality").expect("known ordering"),
+            ..LevelBConfig::default()
+        },
+        ..OverCellFlow::default()
+    }
+    .run(&chip.layout, &chip.placement)
+    .expect("direct run");
     assert_eq!(
         routes_of(&report, "crit"),
         write_routes(&direct.layout, &direct.design)
