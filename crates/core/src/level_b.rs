@@ -770,37 +770,25 @@ impl<'a> LevelBRouter<'a> {
     /// `true` if the committed route geometry actually has a wire on the
     /// plane `dir` at `p` (terminal reservation alone marks cells used,
     /// so the cell state over-approximates).
-    fn wiring_touches(&self, _net: NetId, p: Point, dir: Dir) -> bool {
+    fn wiring_touches(&self, net: NetId, p: Point, dir: Dir) -> bool {
         // Conservative: consult the occupancy of neighbours along the
         // plane direction — a lone reserved terminal has no used
         // neighbour on that plane.
         let Some((i, j)) = self.grid.snap(p) else {
             return false;
         };
-        let neighbours: Vec<(usize, usize)> = match dir {
-            Dir::Vertical => {
-                let mut v = Vec::new();
-                if j > 0 {
-                    v.push((i, j - 1));
-                }
-                if j + 1 < self.grid.nh() {
-                    v.push((i, j + 1));
-                }
-                v
-            }
-            Dir::Horizontal => {
-                let mut v = Vec::new();
-                if i > 0 {
-                    v.push((i - 1, j));
-                }
-                if i + 1 < self.grid.nv() {
-                    v.push((i + 1, j));
-                }
-                v
-            }
+        let neighbours = match dir {
+            Dir::Vertical => [
+                j.checked_sub(1).map(|nj| (i, nj)),
+                (j + 1 < self.grid.nh()).then_some((i, j + 1)),
+            ],
+            Dir::Horizontal => [
+                i.checked_sub(1).map(|ni| (ni, j)),
+                (i + 1 < self.grid.nv()).then_some((i + 1, j)),
+            ],
         };
-        neighbours.into_iter().any(
-            |(ni, nj)| matches!(self.grid.state(dir, ni, nj), CellState::Used(n) if n == _net.0),
+        neighbours.into_iter().flatten().any(
+            |(ni, nj)| matches!(self.grid.state(dir, ni, nj), CellState::Used(n) if n == net.0),
         )
     }
 

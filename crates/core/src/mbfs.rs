@@ -149,7 +149,9 @@ pub struct PstVertex<'a> {
 
 impl<'a> PstVertex<'a> {
     /// All predecessors one level up (the Path Selection Tree edges), in
-    /// discovery order.
+    /// discovery order. Empty for every vertex of a failed search
+    /// (`corners == None`): parents are recorded only once the target is
+    /// reached (see [`Pst`]).
     pub fn parents(&self) -> impl Iterator<Item = VertexKey> + 'a {
         let store = self.store;
         self.parents.iter().map(move |&s| store.key_of(s))
@@ -157,6 +159,11 @@ impl<'a> PstVertex<'a> {
 }
 
 /// The outcome of one MBFS: a Path Selection Tree rooted at `start`.
+///
+/// Every visited vertex carries its level and free run. Parents (the
+/// tree's edges) are recorded only by a successful search: when
+/// `corners` is `None` no path selection can follow, so the search skips
+/// the parent replay and every vertex's parent list is empty.
 #[derive(Clone, Debug)]
 pub struct Pst {
     /// The start vertex (one of terminal 1's two tracks).
@@ -303,7 +310,7 @@ impl FreeRunCache {
 }
 
 /// Reusable per-router search state: the two PST arenas, the free-run
-/// cache and the MBFS frontier buffers.
+/// cache and the MBFS level buffers.
 ///
 /// A [`crate::level_b::LevelBRouter`] holds one of these and threads it
 /// through every window attempt via [`search_min_corner_paths_with`];
@@ -315,8 +322,7 @@ pub struct SearchScratch {
     store_v: PstStore,
     store_h: PstStore,
     cache: FreeRunCache,
-    frontier: Vec<Slot>,
-    next: Vec<Slot>,
+    bfs: BfsBuffers,
 }
 
 impl SearchScratch {
@@ -393,12 +399,78 @@ impl SearchWindow {
     }
 }
 
+/// Per-search MBFS buffers, reused across searches so that steady-state
+/// searches allocate nothing.
+#[derive(Clone, Debug, Default)]
+struct BfsBuffers {
+    /// Every visited vertex in discovery order: level `L` is
+    /// `order[starts[L]..starts[L + 1]]` (the last level runs to the end),
+    /// in the order that level's frontier is expanded.
+    order: Vec<Slot>,
+    starts: Vec<usize>,
+    /// Discovered tracks, one bitset per direction (indexed by
+    /// [`Dir::index`]): bit `k` is set once track `k` is visited.
+    seen: [Vec<u64>; 2],
+    /// Parent replay: the tracks of the level whose parents are being
+    /// recorded.
+    next_level: Vec<u64>,
+}
+
+impl BfsBuffers {
+    /// The vertices of BFS level `level`, in frontier order.
+    fn level(&self, level: usize) -> &[Slot] {
+        let end = self
+            .starts
+            .get(level + 1)
+            .copied()
+            .unwrap_or(self.order.len());
+        &self.order[self.starts[level]..end]
+    }
+}
+
+/// Resets `bits` to an all-clear bitset of `n` bits.
+fn clear_bits(bits: &mut Vec<u64>, n: usize) {
+    bits.clear();
+    bits.resize(n.div_ceil(64), 0);
+}
+
+#[inline]
+fn set_bit(bits: &mut [u64], k: usize) {
+    bits[k / 64] |= 1 << (k % 64);
+}
+
+/// The words of a bitset that cover the closed bit range `[lo, hi]`,
+/// each with the mask of its bits inside the range.
+#[inline]
+fn words_in(lo: usize, hi: usize) -> impl Iterator<Item = (usize, u64)> {
+    (lo / 64..=hi / 64).map(move |w| {
+        let mut mask = !0u64;
+        if w == lo / 64 {
+            mask &= !0 << (lo % 64);
+        }
+        if w == hi / 64 {
+            mask &= !0 >> (63 - hi % 64);
+        }
+        (w, mask)
+    })
+}
+
+/// The grid cell `(i, j)` where track `u` meets perpendicular track `k`.
+#[inline]
+fn corner((u_dir, u_track): VertexKey, k: usize) -> (usize, usize) {
+    match u_dir {
+        Dir::Horizontal => (k, u_track),
+        Dir::Vertical => (u_track, k),
+    }
+}
+
 /// Runs one MBFS for `net` from terminal `term1`'s track of direction
 /// `start_dir`, searching for terminal `term2` within `window`.
 ///
 /// Terminals are grid indices `(i, j)` (vertical track, horizontal
 /// track). Returns the Path Selection Tree; `corners` is `None` when no
-/// path exists within the window.
+/// path exists within the window, and then no vertex has parents (see
+/// [`Pst`]).
 ///
 /// Allocates fresh search state; the router's hot loop goes through
 /// [`search_min_corner_paths_with`] instead, which reuses a
@@ -422,13 +494,24 @@ pub fn mbfs(
         window,
         std::mem::take(&mut scratch.store_v),
         &mut scratch.cache,
-        &mut scratch.frontier,
-        &mut scratch.next,
+        &mut scratch.bfs,
     )
 }
 
 /// The MBFS worker: runs one pass using a caller-provided arena, cache
-/// and frontier buffers, and moves the arena into the returned [`Pst`].
+/// and level buffers, and moves the arena into the returned [`Pst`].
+///
+/// The search runs in two passes. *Discovery* expands the frontier level
+/// by level; for each expanded run it scans only the perpendicular
+/// tracks not yet visited, word by word over the `seen` bitset, so each
+/// track reaches the corner test, the free-run scan and the arena insert
+/// only until it is discovered (§3.1: "each vertex is examined exactly
+/// once"). *Parent replay* runs only if a target is reached: it walks the
+/// recorded levels and, for each vertex in frontier order, records it as
+/// a parent of every next-level track its run meets at a usable corner —
+/// exactly the parents, in exactly the order, that a per-cell loop
+/// recording parents during discovery would push (the reference test
+/// below checks this).
 #[allow(clippy::too_many_arguments)]
 fn mbfs_in(
     tig: &Tig<'_>,
@@ -439,15 +522,15 @@ fn mbfs_in(
     window: &SearchWindow,
     mut store: PstStore,
     cache: &mut FreeRunCache,
-    frontier: &mut Vec<Slot>,
-    next: &mut Vec<Slot>,
+    bfs: &mut BfsBuffers,
 ) -> Pst {
     let start_track = match start_dir {
         Dir::Horizontal => term1.1,
         Dir::Vertical => term1.0,
     };
     let start: VertexKey = (start_dir, start_track);
-    store.begin(tig.grid().nv(), tig.grid().nh());
+    let (nv, nh) = (tig.grid().nv(), tig.grid().nh());
+    store.begin(nv, nh);
     let mut pst = Pst {
         start,
         targets: Vec::new(),
@@ -497,69 +580,117 @@ fn mbfs_in(
         return pst;
     }
 
-    frontier.clear();
-    frontier.push(start_slot);
+    let BfsBuffers {
+        order,
+        starts,
+        seen,
+        ..
+    } = &mut *bfs;
+    clear_bits(&mut seen[Dir::Vertical.index()], nv);
+    clear_bits(&mut seen[Dir::Horizontal.index()], nh);
+    set_bit(&mut seen[start_dir.index()], start_track);
+    order.clear();
+    order.push(start_slot);
+    starts.clear();
+    starts.push(0);
+    let mut perp = start_dir.perp();
     let mut level = 0usize;
-    while !frontier.is_empty() {
-        next.clear();
-        for &u_slot in frontier.iter() {
+    loop {
+        let (begin, end) = (starts[level], order.len());
+        if begin == end {
+            break;
+        }
+        // Runs are clipped to the window's cross bounds, so every
+        // perpendicular track they meet lies inside the window.
+        let (plo, phi) = window.cross_bounds(perp);
+        let seen = &mut seen[perp.index()];
+        for idx in begin..end {
+            let u_slot = order[idx];
             pst.expanded += 1;
-            let (u_dir, u_track) = pst.store.key_of(u_slot);
+            let u = pst.store.key_of(u_slot);
             let run = pst.store.run_of(u_slot);
-            let perp = u_dir.perp();
-            for k in run.0..=run.1 {
-                // Corner cell between track u and perpendicular track k.
-                let (ci, cj) = match u_dir {
-                    Dir::Horizontal => (k, u_track),
-                    Dir::Vertical => (u_track, k),
-                };
-                if !tig.edge_usable(net, ci, cj) {
-                    continue;
-                }
-                let v: VertexKey = (perp, k);
-                if !window.track_in(v) {
-                    continue;
-                }
-                let v_slot = pst.store.slot_of(v);
-                if pst.store.is_live(v_slot) {
-                    if pst.store.level_of(v_slot) == level + 1 {
-                        // Each (u, v) pair is examined at most once per
-                        // search: u expands each cross-index of its run
-                        // once, and u itself entered the frontier once.
-                        debug_assert!(!pst.store.parents_of(v_slot).contains(&u_slot));
-                        pst.store.push_parent(v_slot, u_slot);
+            for (w, mask) in words_in(run.0, run.1) {
+                let mut fresh = !seen[w] & mask;
+                while fresh != 0 {
+                    let k = w * 64 + fresh.trailing_zeros() as usize;
+                    fresh &= fresh - 1;
+                    let (ci, cj) = corner(u, k);
+                    if !tig.edge_usable(net, ci, cj) {
+                        continue;
                     }
-                } else {
-                    let (plo, phi) = window.cross_bounds(perp);
-                    let through = match perp {
-                        Dir::Horizontal => ci,
-                        Dir::Vertical => cj,
-                    };
-                    let Some(vrun) = cache.free_run(tig, net, perp, k, v_slot, through, plo, phi)
+                    debug_assert!(window.track_in((perp, k)));
+                    let v_slot = pst.store.slot_of((perp, k));
+                    // The corner cell sits at cross-index `u.1` of track
+                    // `k`, and a usable corner is passable on both
+                    // planes, so this run always exists: a vertex is
+                    // discovered by the first frontier vertex with a
+                    // usable corner to it, which the replay relies on.
+                    let Some(vrun) = cache.free_run(tig, net, perp, k, v_slot, u.1, plo, phi)
                     else {
                         continue;
                     };
                     pst.store.insert(v_slot, level + 1, vrun);
-                    pst.store.push_parent(v_slot, u_slot);
-                    next.push(v_slot);
+                    set_bit(seen, k);
+                    order.push(v_slot);
                 }
             }
         }
-        // Level `level + 1` is now complete (all parents recorded):
-        // check for targets.
-        for &v_slot in next.iter() {
+        // Level `level + 1` is now complete: check for targets.
+        starts.push(end);
+        for &v_slot in &order[end..] {
             if covers_term2(v_slot, pst.store.run_of(v_slot)) {
                 pst.targets.push(pst.store.key_of(v_slot));
             }
         }
         if !pst.targets.is_empty() {
             pst.corners = Some(level + 1);
+            replay_parents(tig, net, &mut pst.store, bfs, level + 1);
             break;
         }
-        std::mem::swap(frontier, next);
+        perp = perp.perp();
         level += 1;
     }
     pst
+}
+
+/// The parent replay of a search that reached its targets at level
+/// `corners`: records, for every level `L < corners` and every vertex
+/// `u` of it in frontier order, `u` as a parent of each level-`L + 1`
+/// track that `u`'s run meets at a usable corner.
+fn replay_parents(
+    tig: &Tig<'_>,
+    net: u32,
+    store: &mut PstStore,
+    bfs: &mut BfsBuffers,
+    corners: usize,
+) {
+    let mut next_level = std::mem::take(&mut bfs.next_level);
+    let tracks = tig.grid().nv().max(tig.grid().nh());
+    for level in 0..corners {
+        let perp = store.key_of(bfs.level(level)[0]).0.perp();
+        clear_bits(&mut next_level, tracks);
+        for &v_slot in bfs.level(level + 1) {
+            set_bit(&mut next_level, store.key_of(v_slot).1);
+        }
+        for &u_slot in bfs.level(level) {
+            let u = store.key_of(u_slot);
+            let run = store.run_of(u_slot);
+            for (w, mask) in words_in(run.0, run.1) {
+                let mut hits = next_level[w] & mask;
+                while hits != 0 {
+                    let k = w * 64 + hits.trailing_zeros() as usize;
+                    hits &= hits - 1;
+                    let (ci, cj) = corner(u, k);
+                    if tig.edge_usable(net, ci, cj) {
+                        let v_slot = store.slot_of((perp, k));
+                        debug_assert!(!store.parents_of(v_slot).contains(&u_slot));
+                        store.push_parent(v_slot, u_slot);
+                    }
+                }
+            }
+        }
+    }
+    bfs.next_level = next_level;
 }
 
 /// Runs the paper's two MBFS passes (from the terminal's vertical and
@@ -591,7 +722,7 @@ pub fn search_min_corner_paths(
 }
 
 /// Runs both MBFS passes reusing `scratch` (arenas, free-run cache,
-/// frontier buffers). The arenas travel inside the returned PSTs; hand
+/// level buffers). The arenas travel inside the returned PSTs; hand
 /// them back with [`SearchScratch::reclaim`] once the outcome has been
 /// consumed. The free-run cache is shared by the two passes — they see
 /// the same net, window and (immutable) grid — and invalidated here, at
@@ -614,8 +745,7 @@ pub fn search_min_corner_paths_with(
         window,
         std::mem::take(&mut scratch.store_v),
         &mut scratch.cache,
-        &mut scratch.frontier,
-        &mut scratch.next,
+        &mut scratch.bfs,
     );
     let from_h = mbfs_in(
         tig,
@@ -626,8 +756,7 @@ pub fn search_min_corner_paths_with(
         window,
         std::mem::take(&mut scratch.store_h),
         &mut scratch.cache,
-        &mut scratch.frontier,
-        &mut scratch.next,
+        &mut scratch.bfs,
     );
     let corners = match (from_v.corners, from_h.corners) {
         (Some(a), Some(b)) => Some(a.min(b)),
@@ -782,5 +911,250 @@ mod tests {
         let out = search_min_corner_paths(&tig, 0, (0, 0), (100, 100), &w);
         // Track-based search expands O(tracks), not O(area).
         assert!(out.expanded < 2 * (g.nv() + g.nh()));
+    }
+
+    /// Per-cell reference MBFS: the loop `mbfs_in` replaced. It tests
+    /// every cell of every expanded run against the perpendicular track,
+    /// settled or not, and records parents inline — for failed searches
+    /// too.
+    fn mbfs_reference(
+        tig: &Tig<'_>,
+        net: u32,
+        start_dir: Dir,
+        term1: (usize, usize),
+        term2: (usize, usize),
+        window: &SearchWindow,
+    ) -> Pst {
+        let mut cache = FreeRunCache::default();
+        cache.begin(tig.grid().nv() + tig.grid().nh());
+        let start_track = match start_dir {
+            Dir::Horizontal => term1.1,
+            Dir::Vertical => term1.0,
+        };
+        let start: VertexKey = (start_dir, start_track);
+        let mut store = PstStore::new();
+        store.begin(tig.grid().nv(), tig.grid().nh());
+        let mut pst = Pst {
+            start,
+            targets: Vec::new(),
+            corners: None,
+            expanded: 0,
+            store,
+        };
+        let target_v = pst.store.slot_of((Dir::Vertical, term2.0));
+        let target_h = pst.store.slot_of((Dir::Horizontal, term2.1));
+        let covers_term2 = |slot: Slot, run: (usize, usize)| -> bool {
+            if slot == target_v {
+                run.0 <= term2.1 && term2.1 <= run.1
+            } else if slot == target_h {
+                run.0 <= term2.0 && term2.0 <= run.1
+            } else {
+                false
+            }
+        };
+        let through1 = match start_dir {
+            Dir::Horizontal => term1.0,
+            Dir::Vertical => term1.1,
+        };
+        if !window.track_in(start) {
+            return pst;
+        }
+        let (wlo, whi) = window.cross_bounds(start_dir);
+        let start_slot = pst.store.slot_of(start);
+        let Some(run0) = cache.free_run(
+            tig,
+            net,
+            start_dir,
+            start_track,
+            start_slot,
+            through1,
+            wlo,
+            whi,
+        ) else {
+            return pst;
+        };
+        pst.store.insert(start_slot, 0, run0);
+        if covers_term2(start_slot, run0) {
+            pst.targets.push(start);
+            pst.corners = Some(0);
+            return pst;
+        }
+        let mut frontier = vec![start_slot];
+        let mut next = Vec::new();
+        let mut level = 0usize;
+        while !frontier.is_empty() {
+            next.clear();
+            for &u_slot in frontier.iter() {
+                pst.expanded += 1;
+                let (u_dir, u_track) = pst.store.key_of(u_slot);
+                let run = pst.store.run_of(u_slot);
+                let perp = u_dir.perp();
+                for k in run.0..=run.1 {
+                    let (ci, cj) = match u_dir {
+                        Dir::Horizontal => (k, u_track),
+                        Dir::Vertical => (u_track, k),
+                    };
+                    if !tig.edge_usable(net, ci, cj) {
+                        continue;
+                    }
+                    let v: VertexKey = (perp, k);
+                    if !window.track_in(v) {
+                        continue;
+                    }
+                    let v_slot = pst.store.slot_of(v);
+                    if pst.store.is_live(v_slot) {
+                        if pst.store.level_of(v_slot) == level + 1 {
+                            pst.store.push_parent(v_slot, u_slot);
+                        }
+                    } else {
+                        let (plo, phi) = window.cross_bounds(perp);
+                        let through = match perp {
+                            Dir::Horizontal => ci,
+                            Dir::Vertical => cj,
+                        };
+                        let Some(vrun) =
+                            cache.free_run(tig, net, perp, k, v_slot, through, plo, phi)
+                        else {
+                            continue;
+                        };
+                        pst.store.insert(v_slot, level + 1, vrun);
+                        pst.store.push_parent(v_slot, u_slot);
+                        next.push(v_slot);
+                    }
+                }
+            }
+            for &v_slot in next.iter() {
+                if covers_term2(v_slot, pst.store.run_of(v_slot)) {
+                    pst.targets.push(pst.store.key_of(v_slot));
+                }
+            }
+            if !pst.targets.is_empty() {
+                pst.corners = Some(level + 1);
+                break;
+            }
+            std::mem::swap(&mut frontier, &mut next);
+            level += 1;
+        }
+        pst
+    }
+
+    type VertexDump = (VertexKey, usize, (usize, usize), Vec<VertexKey>);
+
+    fn dump(pst: &Pst) -> Vec<VertexDump> {
+        pst.iter()
+            .map(|(k, v)| (k, v.level, v.run, v.parents().collect()))
+            .collect()
+    }
+
+    /// Asserts that `got` found what the reference found: the same
+    /// counters and targets, the same level and run for every visited
+    /// vertex, and — for a successful search — the same parents in the
+    /// same order. A failed search must record no parents at all.
+    fn assert_matches_reference(got: &Pst, want: &Pst, case: &str) {
+        assert_eq!(got.start, want.start, "{case}");
+        assert_eq!(got.corners, want.corners, "{case}");
+        assert_eq!(got.targets, want.targets, "{case}");
+        assert_eq!(got.expanded, want.expanded, "{case}");
+        let mut want_vertices = dump(want);
+        if want.corners.is_none() {
+            want_vertices.iter_mut().for_each(|v| v.3.clear());
+        }
+        assert_eq!(dump(got), want_vertices, "{case}");
+    }
+
+    /// A random `nv × nh` grid: scattered and rectangular `Blocked`
+    /// cells, wiring of another net, and wiring of the searching net.
+    fn random_grid(rng: &mut ocr_gen::rng::Rng, nv: usize, nh: usize, net: u32) -> GridModel {
+        use ocr_grid::CellState;
+        let mut g = GridModel::new(
+            Rect::new(0, 0, 10 * (nv as i64 - 1), 10 * (nh as i64 - 1)),
+            TrackSet::from_pitch(Interval::new(0, 10 * (nh as i64 - 1)), 10),
+            TrackSet::from_pitch(Interval::new(0, 10 * (nv as i64 - 1)), 10),
+        );
+        assert_eq!((g.nv(), g.nh()), (nv, nh));
+        let cells = nv * nh;
+        let density = rng.gen_range(0usize..=30);
+        for _ in 0..cells * density / 100 {
+            let dir = if rng.gen_bool(0.5) {
+                Dir::Horizontal
+            } else {
+                Dir::Vertical
+            };
+            let (i, j) = (rng.gen_range(0..nv), rng.gen_range(0..nh));
+            let state = match rng.gen_range(0u32..10) {
+                0..=5 => CellState::Blocked,
+                6..=7 => CellState::Used(net + 1),
+                _ => CellState::Used(net),
+            };
+            g.set_state(dir, i, j, state);
+        }
+        for _ in 0..rng.gen_range(0usize..4) {
+            let (i0, j0) = (rng.gen_range(0..nv), rng.gen_range(0..nh));
+            let (i1, j1) = (
+                (i0 + rng.gen_range(0..nv / 3 + 1)).min(nv - 1),
+                (j0 + rng.gen_range(0..nh / 3 + 1)).min(nh - 1),
+            );
+            let planes: &[Dir] = match rng.gen_range(0u32..3) {
+                0 => &[Dir::Horizontal],
+                1 => &[Dir::Vertical],
+                _ => &[Dir::Horizontal, Dir::Vertical],
+            };
+            for &dir in planes {
+                for i in i0..=i1 {
+                    for j in j0..=j1 {
+                        g.set_state(dir, i, j, CellState::Blocked);
+                    }
+                }
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn word_parallel_mbfs_matches_per_cell_reference() {
+        const CASES: usize = 2000;
+        let mut rng = ocr_gen::rng::Rng::seed_from_u64(0x3bf5_0001);
+        // One scratch for every case, as the router holds it: stale
+        // arenas, bitsets and level lists must never leak between
+        // searches on grids of different sizes.
+        let mut scratch = SearchScratch::new();
+        let (mut successes, mut failures) = (0, 0);
+        for case in 0..CASES {
+            let (nv, nh) = (rng.gen_range(2usize..=150), rng.gen_range(2usize..=150));
+            let net = 1;
+            let g = random_grid(&mut rng, nv, nh, net);
+            let tig = Tig::new(&g);
+            let t1 = (rng.gen_range(0..nv), rng.gen_range(0..nh));
+            let t2 = (rng.gen_range(0..nv), rng.gen_range(0..nh));
+            let window = match rng.gen_range(0u32..3) {
+                0 => SearchWindow::full(&tig),
+                1 => SearchWindow::around(&tig, t1, t2, rng.gen_range(0usize..8)),
+                // An arbitrary box around terminal 1; terminal 2 may
+                // fall outside it.
+                _ => SearchWindow {
+                    i0: rng.gen_range(0..=t1.0),
+                    i1: rng.gen_range(t1.0..nv),
+                    j0: rng.gen_range(0..=t1.1),
+                    j1: rng.gen_range(t1.1..nh),
+                },
+            };
+            let out = search_min_corner_paths_with(&tig, net, t1, t2, &window, &mut scratch);
+            for (pst, dir) in [(&out.from_v, Dir::Vertical), (&out.from_h, Dir::Horizontal)] {
+                let want = mbfs_reference(&tig, net, dir, t1, t2, &window);
+                let label = format!("case {case}: {nv}x{nh} {t1:?}->{t2:?} {window:?} {dir:?}");
+                assert_matches_reference(pst, &want, &label);
+                if want.corners.is_some() {
+                    successes += 1;
+                } else {
+                    failures += 1;
+                }
+            }
+            scratch.reclaim(out);
+        }
+        // The generator must exercise both outcomes in earnest.
+        assert!(
+            successes > CASES / 4 && failures > CASES / 4,
+            "{successes}/{failures}"
+        );
     }
 }

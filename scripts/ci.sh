@@ -277,6 +277,26 @@ for snap in BENCH_*.json; do
     ./target/release/obs-check "$snap" --bench "$name"
 done
 
+echo "==> counter gate (perfbench route-suite seed 0, traced, vs perfbench/counters.json)"
+# The traced route-suite run compares the deterministic search counters
+# (expanded vertices, window attempts, maze fallbacks, rips, ...) with
+# the committed snapshot. A change that alters search behaviour on
+# purpose re-baselines perfbench/counters.json in the same commit.
+PB_DIR="$(mktemp -d)"
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload route-suite --seed 0 --seconds 40 --trace 1 \
+    >"$PB_DIR/out" 2>"$PB_DIR/err" || {
+    cat "$PB_DIR/err" >&2
+    echo "ci: perfbench route-suite run failed" >&2
+    exit 1
+}
+grep -q "route-suite: deterministic counters match perfbench/counters.json" "$PB_DIR/err" || {
+    grep "route-suite" "$PB_DIR/err" >&2
+    echo "ci: route-suite counters differ from perfbench/counters.json" >&2
+    exit 1
+}
+rm -rf "$PB_DIR"
+
 echo "==> no panicking macros reachable from external input (crates/io)"
 # The parsers take untrusted text; their non-test code must contain no
 # unwrap/expect/panic!. (Everything before the #[cfg(test)] marker.)
