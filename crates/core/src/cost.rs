@@ -16,8 +16,9 @@
 //! "controls the distribution of wiring segments to avoid blocking
 //! unrouted nets".
 
+use crate::mbfs::SearchWindow;
 use ocr_geom::{Coord, Dir, Point};
-use ocr_grid::GridModel;
+use ocr_grid::{CellState, GridModel};
 use std::fmt;
 
 /// A rejected [`CostWeights`] configuration.
@@ -86,7 +87,10 @@ pub struct CostWeights {
     /// paper's example of an additional term: "to prevent parallel
     /// routing of sensitive nets". Zero (off) by default.
     pub w24: f64,
-    /// Index radius of the proximity / congestion window around a corner.
+    /// Index radius `r` of a corner's neighbourhood: `drg`, `acf` and
+    /// `dsn` count cells in the `(2r+1)²` box centred on the corner,
+    /// while `dup` counts terminals within index Manhattan distance `2r`
+    /// (a diamond).
     pub radius: usize,
 }
 
@@ -200,6 +204,9 @@ pub struct CostEvaluator<'a> {
     weights: CostWeights,
     /// Average pitch used to normalize wire length into "grid steps".
     norm_pitch: f64,
+    /// The search window every evaluated corner lies in, when the
+    /// terminal list was cut to it by [`terminals_near_window`].
+    within: Option<SearchWindow>,
 }
 
 impl<'a> CostEvaluator<'a> {
@@ -217,6 +224,7 @@ impl<'a> CostEvaluator<'a> {
             sensitive_nets: &[],
             weights,
             norm_pitch: norm_pitch.max(1) as f64,
+            within: None,
         }
     }
 
@@ -227,21 +235,24 @@ impl<'a> CostEvaluator<'a> {
         self
     }
 
+    /// Declares that every corner this evaluator will cost lies inside
+    /// `window` (builder-style), so the terminal list may be the
+    /// [`terminals_near_window`] cut of the full list. Checked by a
+    /// debug assertion on every corner.
+    pub fn within(mut self, window: SearchWindow) -> Self {
+        self.within = Some(window);
+        self
+    }
+
     /// The weights in use.
     pub fn weights(&self) -> &CostWeights {
         &self.weights
     }
 
-    /// `drg` term: fraction of grid points used by routed nets within the
-    /// window around the corner.
-    pub fn drg(&self, corner: (usize, usize)) -> f64 {
-        let (i0, i1, j0, j1) = self.window(corner);
-        let cells = ((i1 - i0 + 1) * (j1 - j0 + 1)) as f64;
-        self.grid.used_in_window(i0, i1, j0, j1) as f64 / cells
-    }
-
-    /// `dup` term: inverse-distance-weighted count of unrouted terminals
-    /// within the window around the corner.
+    /// `dup` term: inverse-distance-weighted count of the unrouted
+    /// terminals within index Manhattan distance `2·radius` of the
+    /// corner (a diamond, unlike the box of the other terms), summed in
+    /// list order.
     pub fn dup(&self, corner: (usize, usize)) -> f64 {
         let r = self.weights.radius as i64;
         let (ci, cj) = (corner.0 as i64, corner.1 as i64);
@@ -254,51 +265,49 @@ impl<'a> CostEvaluator<'a> {
             .sum()
     }
 
-    /// `acf` term: fraction of non-free (used or blocked) grid points in
-    /// the window around the corner.
-    pub fn acf(&self, corner: (usize, usize)) -> f64 {
+    /// Total corner penalty `w21·drg + w22·dup + w23·acf + w24·dsn`.
+    ///
+    /// `drg` is the fraction of the corner's box used by routed nets,
+    /// `acf` the fraction not free (used or blocked) and `dsn` the
+    /// fraction used by a sensitive net, each on either plane. One sweep
+    /// over the box reads both planes of every cell once for all three.
+    pub fn corner_cost(&self, corner: (usize, usize)) -> f64 {
+        debug_assert!(
+            self.within.is_none_or(|w| w.contains(corner)),
+            "corner {corner:?} outside the search window {:?}",
+            self.within
+        );
         let (i0, i1, j0, j1) = self.window(corner);
         let cells = ((i1 - i0 + 1) * (j1 - j0 + 1)) as f64;
-        self.grid.congested_in_window(i0, i1, j0, j1) as f64 / cells
-    }
-
-    /// `dsn` term: fraction of grid points in the window used by a
-    /// *sensitive* net (on either plane). Zero when no sensitive nets
-    /// are declared.
-    pub fn dsn(&self, corner: (usize, usize)) -> f64 {
-        if self.sensitive_nets.is_empty() {
-            return 0.0;
-        }
-        let (i0, i1, j0, j1) = self.window(corner);
-        let cells = ((i1 - i0 + 1) * (j1 - j0 + 1)) as f64;
-        let mut hits = 0usize;
+        let sensitive =
+            |s: CellState| matches!(s, CellState::Used(n) if self.sensitive_nets.contains(&n));
+        let (mut used, mut congested, mut near_sensitive) = (0usize, 0usize, 0usize);
         for j in j0..=j1 {
             for i in i0..=i1 {
-                let sensitive = |s: ocr_grid::CellState| match s {
-                    ocr_grid::CellState::Used(n) => self.sensitive_nets.contains(&n),
-                    _ => false,
-                };
-                if sensitive(self.grid.state(Dir::Horizontal, i, j))
-                    || sensitive(self.grid.state(Dir::Vertical, i, j))
-                {
-                    hits += 1;
-                }
+                let h = self.grid.state(Dir::Horizontal, i, j);
+                let v = self.grid.state(Dir::Vertical, i, j);
+                used += usize::from(h.is_used() || v.is_used());
+                congested += usize::from(!h.is_free() || !v.is_free());
+                near_sensitive += usize::from(sensitive(h) || sensitive(v));
             }
         }
-        hits as f64 / cells
-    }
-
-    /// Total corner penalty `w21·drg + w22·dup + w23·acf + w24·dsn`.
-    pub fn corner_cost(&self, corner: (usize, usize)) -> f64 {
-        self.weights.w21 * self.drg(corner)
+        self.weights.w21 * (used as f64 / cells)
             + self.weights.w22 * self.dup(corner)
-            + self.weights.w23 * self.acf(corner)
-            + self.weights.w24 * self.dsn(corner)
+            + self.weights.w23 * (congested as f64 / cells)
+            + self.weights.w24 * (near_sensitive as f64 / cells)
     }
 
     /// Full path cost for a path given by its points (terminals and
     /// corners, in order). Corners are all interior points.
     pub fn path_cost(&self, points: &[Point]) -> f64 {
+        self.path_cost_by(points, Self::corner_cost)
+    }
+
+    fn path_cost_by(
+        &self,
+        points: &[Point],
+        corner_cost: impl Fn(&Self, (usize, usize)) -> f64,
+    ) -> f64 {
         let mut wl: Coord = 0;
         for w in points.windows(2) {
             wl += ocr_geom::manhattan(w[0], w[1]);
@@ -306,7 +315,7 @@ impl<'a> CostEvaluator<'a> {
         let mut c = self.weights.w1 * (wl as f64 / self.norm_pitch);
         for p in &points[1..points.len().saturating_sub(1)] {
             if let Some(idx) = self.grid.snap(*p) {
-                c += self.corner_cost(idx);
+                c += corner_cost(self, idx);
             }
         }
         c
@@ -324,6 +333,7 @@ impl<'a> CostEvaluator<'a> {
         partial + self.weights.w1 * (ocr_geom::manhattan(from, target) as f64 / self.norm_pitch)
     }
 
+    /// The `(2r+1)²` box around a corner, clipped to the grid.
     fn window(&self, corner: (usize, usize)) -> (usize, usize, usize, usize) {
         let r = self.weights.radius;
         let i0 = corner.0.saturating_sub(r);
@@ -332,6 +342,81 @@ impl<'a> CostEvaluator<'a> {
         let j1 = (corner.1 + r).min(self.grid.nh().saturating_sub(1));
         (i0, i1, j0, j1)
     }
+}
+
+/// Reference cost terms: one window scan per term over the grid's
+/// cell-state accessors, as the evaluator computed them before the
+/// shared sweep. Kept to test [`CostEvaluator::corner_cost`] against.
+#[cfg(test)]
+impl CostEvaluator<'_> {
+    pub(crate) fn drg(&self, corner: (usize, usize)) -> f64 {
+        let (i0, i1, j0, j1) = self.window(corner);
+        let cells = ((i1 - i0 + 1) * (j1 - j0 + 1)) as f64;
+        self.grid.used_in_window(i0, i1, j0, j1) as f64 / cells
+    }
+
+    pub(crate) fn acf(&self, corner: (usize, usize)) -> f64 {
+        let (i0, i1, j0, j1) = self.window(corner);
+        let cells = ((i1 - i0 + 1) * (j1 - j0 + 1)) as f64;
+        self.grid.congested_in_window(i0, i1, j0, j1) as f64 / cells
+    }
+
+    pub(crate) fn dsn(&self, corner: (usize, usize)) -> f64 {
+        if self.sensitive_nets.is_empty() {
+            return 0.0;
+        }
+        let (i0, i1, j0, j1) = self.window(corner);
+        let cells = ((i1 - i0 + 1) * (j1 - j0 + 1)) as f64;
+        let mut hits = 0usize;
+        for j in j0..=j1 {
+            for i in i0..=i1 {
+                let sensitive = |s: CellState| match s {
+                    CellState::Used(n) => self.sensitive_nets.contains(&n),
+                    _ => false,
+                };
+                if sensitive(self.grid.state(Dir::Horizontal, i, j))
+                    || sensitive(self.grid.state(Dir::Vertical, i, j))
+                {
+                    hits += 1;
+                }
+            }
+        }
+        hits as f64 / cells
+    }
+
+    pub(crate) fn corner_cost_reference(&self, corner: (usize, usize)) -> f64 {
+        self.weights.w21 * self.drg(corner)
+            + self.weights.w22 * self.dup(corner)
+            + self.weights.w23 * self.acf(corner)
+            + self.weights.w24 * self.dsn(corner)
+    }
+
+    pub(crate) fn path_cost_reference(&self, points: &[Point]) -> f64 {
+        self.path_cost_by(points, Self::corner_cost_reference)
+    }
+}
+
+/// Appends to `out`, in list order, the terminals of `terms` that
+/// [`CostEvaluator::dup`] can count from some corner inside `window`:
+/// those within index Manhattan distance `2·radius` of the window box.
+///
+/// `dup` skips every farther terminal, so an evaluator over this cut
+/// (and declared [`within`](CostEvaluator::within) the window) sums the
+/// same terms in the same order as one over the full list, and its
+/// costs are bit-identical — while each corner scans only the terminals
+/// near the connection instead of every unrouted terminal on the chip.
+pub fn terminals_near_window(
+    terms: impl IntoIterator<Item = (usize, usize)>,
+    window: &SearchWindow,
+    radius: usize,
+    out: &mut Vec<(usize, usize)>,
+) {
+    let reach = radius.saturating_mul(2);
+    out.extend(terms.into_iter().filter(|&(i, j)| {
+        let di = window.i0.saturating_sub(i) + i.saturating_sub(window.i1);
+        let dj = window.j0.saturating_sub(j) + j.saturating_sub(window.j1);
+        di + dj <= reach
+    }));
 }
 
 /// `true` if the run along `dir` between two points is free for `net`

@@ -11,7 +11,7 @@
 
 use crate::ckpt::{reason_token, stats_to_pairs, CheckpointSpec, LevelBResume, RunSession};
 use crate::config::LevelBConfig;
-use crate::cost::CostEvaluator;
+use crate::cost::{terminals_near_window, CostEvaluator};
 use crate::degrade::{Degradation, DegradeReason, NetDegradation};
 use crate::error::RouteError;
 use crate::mbfs::{search_min_corner_paths_with, SearchScratch, SearchWindow};
@@ -57,9 +57,10 @@ pub struct LevelBRouter<'a> {
     /// Nets identified by the last failed connection's soft-path probe
     /// as the cheapest victims to rip.
     last_blockers: Vec<NetId>,
-    /// Every terminal cell (all nets) — rip-up cannot free these, so
-    /// the soft-path probe treats them as hard obstacles.
-    terminal_cells: std::collections::HashSet<(usize, usize)>,
+    /// Every terminal cell (all nets), indexed `j * nv + i` — rip-up
+    /// cannot free these, so the soft-path probe treats them as hard
+    /// obstacles.
+    terminal_cells: Vec<bool>,
     /// Victims already ripped for a given net: later probes for that net
     /// must find *different* victims, which breaks two nets ping-ponging
     /// over a single contested lane and forces exploration of
@@ -79,6 +80,9 @@ pub struct LevelBRouter<'a> {
     /// Reusable MBFS state (PST arenas, free-run cache, frontier
     /// buffers), threaded through every window attempt.
     scratch: SearchScratch,
+    /// Reusable Lee/soft-path search state for the maze fallback and the
+    /// rip-up probe.
+    maze: ocr_maze::MazeScratch,
     stats: RoutingStats,
 }
 
@@ -174,7 +178,10 @@ impl<'a> LevelBRouter<'a> {
                 }
             }
         }
-        let terminal_cells = unrouted_cells.iter().map(|&(_, c)| c).collect();
+        let mut terminal_cells = vec![false; grid.nv() * grid.nh()];
+        for &(_, (i, j)) in &unrouted_cells {
+            terminal_cells[j * grid.nv() + i] = true;
+        }
         Ok(LevelBRouter {
             layout,
             nets: nets.to_vec(),
@@ -188,6 +195,7 @@ impl<'a> LevelBRouter<'a> {
             pre_degraded,
             control: None,
             scratch: SearchScratch::new(),
+            maze: ocr_maze::MazeScratch::new(),
             stats: RoutingStats {
                 doomed_terminals,
                 ..RoutingStats::default()
@@ -837,7 +845,9 @@ impl<'a> LevelBRouter<'a> {
             via_cost: self.layout.rules.over_cell_pitch(),
             astar: true,
         };
-        let path = match ocr_maze::route_maze(&mut self.grid, net.0, q, attach, opts) {
+        let routed =
+            ocr_maze::route_maze_with(&mut self.grid, net.0, q, attach, opts, &mut self.maze);
+        let path = match routed {
             Ok(p) => p,
             Err(_) => {
                 self.probe_blockers(net, q, attach);
@@ -873,23 +883,32 @@ impl<'a> LevelBRouter<'a> {
         // different lanes.
         let terminals = &self.terminal_cells;
         let grid = &self.grid;
+        let nv = grid.nv();
         let empty: Vec<u32> = Vec::new();
         let excluded = self.rip_exclusions.get(&net.0).unwrap_or(&empty);
-        if let Ok(soft) =
-            ocr_maze::find_soft_path_filtered(grid, net.0, q, attach, opts, 1_000_000, |i, j| {
-                if terminals.contains(&(i, j)) {
-                    return false;
-                }
-                for d in Dir::BOTH {
-                    if let CellState::Used(n) = grid.state(d, i, j) {
-                        if excluded.contains(&n) {
-                            return false;
-                        }
+        let rippable = |i: usize, j: usize| {
+            if terminals[j * nv + i] {
+                return false;
+            }
+            for d in Dir::BOTH {
+                if let CellState::Used(n) = grid.state(d, i, j) {
+                    if excluded.contains(&n) {
+                        return false;
                     }
                 }
-                true
-            })
-        {
+            }
+            true
+        };
+        if let Ok(soft) = ocr_maze::find_soft_path_filtered_with(
+            grid,
+            net.0,
+            q,
+            attach,
+            opts,
+            1_000_000,
+            rippable,
+            &mut self.maze,
+        ) {
             self.last_blockers = soft.blockers.into_iter().map(NetId).collect();
         }
     }
@@ -911,8 +930,8 @@ impl<'a> LevelBRouter<'a> {
             .snap(to)
             .ok_or(RouteError::TerminalOffGrid { net, at: to })?;
         let mut margin = self.config.window_margin;
-        let unrouted_idx: Vec<(usize, usize)> =
-            self.unrouted_cells.iter().map(|&(_, c)| c).collect();
+        // The unrouted terminals `dup` can see from the searched window.
+        let mut near_terminals: Vec<(usize, usize)> = Vec::new();
         let sensitive: Vec<u32> = self
             .config
             .sensitive_nets
@@ -963,13 +982,24 @@ impl<'a> LevelBRouter<'a> {
             ocr_obs::count("level_b.expanded_vertices", outcome.expanded as u64);
             let mut found = None;
             if outcome.corners.is_some() {
+                // Every candidate corner is the crossing of two window
+                // tracks, so only terminals near the window can reach
+                // its `dup` term.
+                near_terminals.clear();
+                terminals_near_window(
+                    self.unrouted_cells.iter().map(|&(_, c)| c),
+                    &window,
+                    self.config.weights.radius,
+                    &mut near_terminals,
+                );
                 let ev = CostEvaluator::new(
                     &self.grid,
-                    &unrouted_idx,
+                    &near_terminals,
                     self.config.weights,
                     self.layout.rules.over_cell_pitch(),
                 )
-                .with_sensitive_nets(&sensitive);
+                .with_sensitive_nets(&sensitive)
+                .within(window);
                 found = select_best_path(&tig, net.0, &outcome, from, to, &ev);
             }
             self.scratch.reclaim(outcome);

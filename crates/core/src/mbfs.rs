@@ -382,6 +382,11 @@ impl SearchWindow {
         }
     }
 
+    /// `true` if grid cell `(i, j)` lies inside the window.
+    pub fn contains(&self, (i, j): (usize, usize)) -> bool {
+        (self.i0..=self.i1).contains(&i) && (self.j0..=self.j1).contains(&j)
+    }
+
     /// Cross-index bounds for a track running in `dir`.
     fn cross_bounds(&self, dir: Dir) -> (usize, usize) {
         match dir {
@@ -772,7 +777,7 @@ pub fn search_min_corner_paths_with(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ocr_geom::{Interval, Rect};
     use ocr_grid::{GridModel, TrackSet};
@@ -1064,7 +1069,12 @@ mod tests {
 
     /// A random `nv × nh` grid: scattered and rectangular `Blocked`
     /// cells, wiring of another net, and wiring of the searching net.
-    fn random_grid(rng: &mut ocr_gen::rng::Rng, nv: usize, nh: usize, net: u32) -> GridModel {
+    pub(crate) fn random_grid(
+        rng: &mut ocr_gen::rng::Rng,
+        nv: usize,
+        nh: usize,
+        net: u32,
+    ) -> GridModel {
         use ocr_grid::CellState;
         let mut g = GridModel::new(
             Rect::new(0, 0, 10 * (nv as i64 - 1), 10 * (nh as i64 - 1)),

@@ -18,7 +18,7 @@
 use crate::cost::CostEvaluator;
 use crate::mbfs::{Pst, SearchOutcome, Slot, VertexKey};
 use crate::tig::Tig;
-use ocr_geom::{Dir, Point};
+use ocr_geom::{Coord, Dir, Point};
 
 /// A fully realized candidate path.
 #[derive(Clone, Debug, PartialEq)]
@@ -31,6 +31,15 @@ pub struct CandidatePath {
     pub corners: usize,
     /// Cost under the selection cost function.
     pub cost: f64,
+}
+
+/// The grid cell where consecutive (perpendicular) tracks `a` and `b`
+/// cross.
+fn crossing((da, ta): VertexKey, (_, tb): VertexKey) -> (usize, usize) {
+    match da {
+        Dir::Horizontal => (tb, ta),
+        Dir::Vertical => (ta, tb),
+    }
 }
 
 /// Realizes a track sequence into points and validates every run and
@@ -47,13 +56,7 @@ pub fn realize(
     let mut points = Vec::with_capacity(tracks.len() + 1);
     points.push(term1);
     for w in tracks.windows(2) {
-        let (da, ta) = w[0];
-        let (_, tb) = w[1];
-        // Crossing of consecutive (perpendicular) tracks.
-        let (i, j) = match da {
-            Dir::Horizontal => (tb, ta),
-            Dir::Vertical => (ta, tb),
-        };
+        let (i, j) = crossing(w[0], w[1]);
         points.push(grid.point(i, j));
     }
     points.push(term2);
@@ -85,14 +88,163 @@ pub fn realize(
     Some(points)
 }
 
+/// One partial path of the enumeration DFS: a track slot plus a link to
+/// the entry it extends (one track nearer the target), with the wire
+/// length from terminal 2 through its corners so far and its tip (the
+/// last of those corners, or terminal 2 itself).
+#[derive(Clone, Copy, Debug)]
+struct Partial {
+    slot: Slot,
+    /// Index of the extended entry, `u32::MAX` at a target.
+    next: u32,
+    wl: Coord,
+    tip: Point,
+}
+
 /// Enumerates the candidate paths of one PST via depth-first search over
 /// the predecessor DAG, with a branch-and-bound cut: a partial path whose
 /// bound already exceeds the best complete cost is abandoned.
 ///
 /// Returns candidates sorted by cost (best first). `cap` bounds the
-/// number of *complete* candidates examined, as a safeguard on
+/// number of *realized* candidates (complete track sequences that pass
+/// [`realize`]; ones that fail it are not counted), as a safeguard on
 /// pathological DAGs.
 pub fn enumerate_paths(
+    tig: &Tig<'_>,
+    net: u32,
+    pst: &Pst,
+    term1: Point,
+    term2: Point,
+    evaluator: &CostEvaluator<'_>,
+    cap: usize,
+) -> Vec<CandidatePath> {
+    let grid = tig.grid();
+    let mut out: Vec<CandidatePath> = Vec::new();
+    let mut best = f64::INFINITY;
+    let start_slot = pst.slot_of(pst.start);
+
+    // Partial paths grow from a target back toward the start. Each DFS
+    // stack entry indexes an arena of `Partial`s that share their
+    // common suffixes, so a push copies nothing and extends the wire
+    // length by one corner-to-corner step.
+    let mut arena: Vec<Partial> = Vec::new();
+    let mut stack: Vec<u32> = Vec::new();
+    for &target in &pst.targets {
+        arena.clear();
+        stack.clear();
+        arena.push(Partial {
+            slot: pst.slot_of(target),
+            next: u32::MAX,
+            wl: 0,
+            tip: term2,
+        });
+        stack.push(0);
+        while let Some(k) = stack.pop() {
+            if out.len() >= cap {
+                break;
+            }
+            let last = arena[k as usize];
+            if last.slot == start_slot {
+                let mut tracks: Vec<VertexKey> = Vec::new();
+                let mut at = k;
+                while at != u32::MAX {
+                    tracks.push(pst.key_of(arena[at as usize].slot));
+                    at = arena[at as usize].next;
+                }
+                if let Some(points) = realize(tig, net, &tracks, term1, term2) {
+                    let cost = evaluator.path_cost(&points);
+                    if cost < best {
+                        best = cost;
+                    }
+                    out.push(CandidatePath {
+                        corners: tracks.len() - 1,
+                        tracks,
+                        points,
+                        cost,
+                    });
+                }
+                continue;
+            }
+            if !pst.live(last.slot) {
+                continue;
+            }
+            for &parent in pst.parents_of(last.slot) {
+                // Bounding: partial wire length from terminal 2 through
+                // the corners so far, plus the straight-line remainder,
+                // must stay below the best complete cost.
+                let (i, j) = crossing(pst.key_of(last.slot), pst.key_of(parent));
+                let tip = grid.point(i, j);
+                let wl = last.wl + ocr_geom::manhattan(last.tip, tip);
+                if best.is_finite() && evaluator.bound(evaluator.wl_cost(wl), tip, term1) > best {
+                    continue;
+                }
+                arena.push(Partial {
+                    slot: parent,
+                    next: k,
+                    wl,
+                    tip,
+                });
+                stack.push(arena.len() as u32 - 1);
+            }
+        }
+    }
+    // Total order even under non-finite costs (a NaN never panics the
+    // sort and never outranks a finite cost): cost, then corner count,
+    // then original candidate index (sort_by is stable).
+    out.sort_by(|a, b| a.cost.total_cmp(&b.cost).then(a.corners.cmp(&b.corners)));
+    out
+}
+
+/// Selects the best path over both PSTs of a [`SearchOutcome`],
+/// considering only searches that achieved the global minimum corner
+/// count.
+pub fn select_best_path(
+    tig: &Tig<'_>,
+    net: u32,
+    outcome: &SearchOutcome,
+    term1: Point,
+    term2: Point,
+    evaluator: &CostEvaluator<'_>,
+) -> Option<CandidatePath> {
+    select_among(outcome, |pst| {
+        enumerate_paths(tig, net, pst, term1, term2, evaluator, 256)
+    })
+}
+
+/// The cheapest candidate `enumerate` yields over the minimum-corner
+/// PSTs of `outcome`, earlier candidates winning ties.
+fn select_among(
+    outcome: &SearchOutcome,
+    mut enumerate: impl FnMut(&Pst) -> Vec<CandidatePath>,
+) -> Option<CandidatePath> {
+    let min = outcome.corners?;
+    let mut best: Option<CandidatePath> = None;
+    for pst in [&outcome.from_v, &outcome.from_h] {
+        if pst.corners != Some(min) {
+            continue;
+        }
+        for c in enumerate(pst) {
+            // total_cmp keeps the earlier candidate on ties and never
+            // lets a NaN cost displace a finite one.
+            if best
+                .as_ref()
+                .map(|b| c.cost.total_cmp(&b.cost).is_lt())
+                .unwrap_or(true)
+            {
+                best = Some(c);
+            }
+        }
+    }
+    best
+}
+
+/// The enumeration as it was before the incremental bound: every push
+/// clones the partial slot path and [`lower_bound`] rebuilds its corner
+/// chain, and candidates are costed with the per-term reference scans
+/// ([`CostEvaluator::path_cost_reference`]). Kept to test
+/// [`enumerate_paths`] and the window-local terminal cut against.
+#[cfg(test)]
+pub(crate) fn enumerate_paths_reference(
     tig: &Tig<'_>,
     net: u32,
     pst: &Pst,
@@ -104,9 +256,6 @@ pub fn enumerate_paths(
     let mut out: Vec<CandidatePath> = Vec::new();
     let mut best = f64::INFINITY;
     let start_slot = pst.slot_of(pst.start);
-
-    // DFS stack entries: arena-slot path-so-far from target back toward
-    // start (slots are u32s, so partial-path clones stay cheap).
     for &target in &pst.targets {
         let mut stack: Vec<Vec<Slot>> = vec![vec![pst.slot_of(target)]];
         while let Some(rev_path) = stack.pop() {
@@ -118,7 +267,7 @@ pub fn enumerate_paths(
                 let tracks: Vec<VertexKey> =
                     rev_path.iter().rev().map(|&s| pst.key_of(s)).collect();
                 if let Some(points) = realize(tig, net, &tracks, term1, term2) {
-                    let cost = evaluator.path_cost(&points);
+                    let cost = evaluator.path_cost_reference(&points);
                     if cost < best {
                         best = cost;
                     }
@@ -135,9 +284,6 @@ pub fn enumerate_paths(
                 continue;
             }
             for &parent in pst.parents_of(last) {
-                // Bounding: partial wire length from terminal 2 through
-                // the corners so far, plus the straight-line remainder,
-                // must stay below the best complete cost.
                 let mut partial = rev_path.clone();
                 partial.push(parent);
                 if best.is_finite() {
@@ -150,14 +296,13 @@ pub fn enumerate_paths(
             }
         }
     }
-    // Total order even under non-finite costs (a NaN never panics the
-    // sort and never outranks a finite cost): cost, then corner count,
-    // then original candidate index (sort_by is stable).
     out.sort_by(|a, b| a.cost.total_cmp(&b.cost).then(a.corners.cmp(&b.corners)));
     out
 }
 
-/// Wire-length lower bound of a partial (reversed) slot path.
+/// Wire-length lower bound of a partial (reversed) slot path, rebuilt
+/// from scratch (reference for the incremental bound).
+#[cfg(test)]
 fn lower_bound(
     tig: &Tig<'_>,
     pst: &Pst,
@@ -166,7 +311,6 @@ fn lower_bound(
     term2: Point,
     evaluator: &CostEvaluator<'_>,
 ) -> f64 {
-    // Realize the partial corner chain from terminal 2 backward.
     let grid = tig.grid();
     let mut pts = vec![term2];
     for w in rev_partial.windows(2) {
@@ -186,10 +330,9 @@ fn lower_bound(
     evaluator.bound(evaluator.wl_cost(wl), last, term1)
 }
 
-/// Selects the best path over both PSTs of a [`SearchOutcome`],
-/// considering only searches that achieved the global minimum corner
-/// count.
-pub fn select_best_path(
+/// [`select_best_path`] over [`enumerate_paths_reference`].
+#[cfg(test)]
+pub(crate) fn select_best_path_reference(
     tig: &Tig<'_>,
     net: u32,
     outcome: &SearchOutcome,
@@ -197,33 +340,18 @@ pub fn select_best_path(
     term2: Point,
     evaluator: &CostEvaluator<'_>,
 ) -> Option<CandidatePath> {
-    let min = outcome.corners?;
-    let mut best: Option<CandidatePath> = None;
-    for pst in [&outcome.from_v, &outcome.from_h] {
-        if pst.corners != Some(min) {
-            continue;
-        }
-        let cands = enumerate_paths(tig, net, pst, term1, term2, evaluator, 256);
-        for c in cands {
-            // total_cmp keeps the earlier candidate on ties and never
-            // lets a NaN cost displace a finite one.
-            if best
-                .as_ref()
-                .map(|b| c.cost.total_cmp(&b.cost).is_lt())
-                .unwrap_or(true)
-            {
-                best = Some(c);
-            }
-        }
-    }
-    best
+    select_among(outcome, |pst| {
+        enumerate_paths_reference(tig, net, pst, term1, term2, evaluator, 256)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostWeights;
-    use crate::mbfs::{search_min_corner_paths, SearchWindow};
+    use crate::cost::{terminals_near_window, CostWeights};
+    use crate::mbfs::{
+        search_min_corner_paths, search_min_corner_paths_with, SearchScratch, SearchWindow,
+    };
     use ocr_geom::{Interval, Rect};
     use ocr_grid::{GridModel, TrackSet};
 
@@ -392,5 +520,124 @@ mod tests {
             assert_eq!(c.corners, 1);
             assert!((c.cost - cands[0].cost).abs() < 1e-9);
         }
+    }
+
+    /// The comparable content of a candidate: tracks, points, corner
+    /// count and the exact cost bits.
+    type CandidateKey = (Vec<VertexKey>, Vec<Point>, usize, u64);
+
+    fn key(c: &CandidatePath) -> CandidateKey {
+        (
+            c.tracks.clone(),
+            c.points.clone(),
+            c.corners,
+            c.cost.to_bits(),
+        )
+    }
+
+    #[test]
+    fn enumeration_and_window_cut_match_the_reference() {
+        const CASES: usize = 1000;
+        let mut rng = ocr_gen::rng::Rng::seed_from_u64(0x957_0001);
+        let mut scratch = SearchScratch::new();
+        let presets = [
+            CostWeights::default(),
+            CostWeights::dense(),
+            CostWeights::length_only(),
+        ];
+        let net = 1;
+        let mut near = Vec::new();
+        let (mut compared, mut attempts, mut cut) = (0usize, 0usize, 0usize);
+        while compared < CASES {
+            attempts += 1;
+            assert!(attempts < 10 * CASES, "too few searches reach a target");
+            let (nv, nh) = (rng.gen_range(2usize..=60), rng.gen_range(2usize..=60));
+            let g = crate::mbfs::tests::random_grid(&mut rng, nv, nh, net);
+            let tig = Tig::new(&g);
+            let t1 = (rng.gen_range(0..nv), rng.gen_range(0..nh));
+            let t2 = (rng.gen_range(0..nv), rng.gen_range(0..nh));
+            let window = match rng.gen_range(0u32..3) {
+                0 => SearchWindow::full(&tig),
+                1 => SearchWindow::around(&tig, t1, t2, rng.gen_range(0usize..6)),
+                // An arbitrary box around terminal 1; terminal 2 may
+                // fall outside it.
+                _ => SearchWindow {
+                    i0: rng.gen_range(0..=t1.0),
+                    i1: rng.gen_range(t1.0..nv),
+                    j0: rng.gen_range(0..=t1.1),
+                    j1: rng.gen_range(t1.1..nh),
+                },
+            };
+            let out = search_min_corner_paths_with(&tig, net, t1, t2, &window, &mut scratch);
+            if out.corners.is_none() {
+                scratch.reclaim(out);
+                continue;
+            }
+            let mut weights = presets[rng.gen_range(0usize..3)];
+            weights.radius = rng.gen_range(0usize..=6);
+            let sensitive: Vec<u32> = if rng.gen_bool(0.5) {
+                weights.w24 = rng.gen_range(1u32..=4) as f64 * 0.5;
+                vec![net + 1]
+            } else {
+                Vec::new()
+            };
+            // Unrouted terminals: around the window's edge (inside and
+            // just beyond `dup`'s reach), anywhere on the grid, and
+            // repeats of earlier ones.
+            let reach = 2 * weights.radius + 2;
+            let mut terms: Vec<(usize, usize)> = Vec::new();
+            for _ in 0..rng.gen_range(0usize..40) {
+                let t = match rng.gen_range(0u32..4) {
+                    0 | 1 => (
+                        rng.gen_range(
+                            window.i0.saturating_sub(reach)..=(window.i1 + reach).min(nv - 1),
+                        ),
+                        rng.gen_range(
+                            window.j0.saturating_sub(reach)..=(window.j1 + reach).min(nh - 1),
+                        ),
+                    ),
+                    2 => (rng.gen_range(0..nv), rng.gen_range(0..nh)),
+                    _ => match rng.choose(&terms) {
+                        Some(&t) => t,
+                        None => (rng.gen_range(0..nv), rng.gen_range(0..nh)),
+                    },
+                };
+                terms.push(t);
+            }
+            near.clear();
+            terminals_near_window(terms.iter().copied(), &window, weights.radius, &mut near);
+            cut += usize::from(near.len() < terms.len());
+            let fast = CostEvaluator::new(&g, &near, weights, 10)
+                .with_sensitive_nets(&sensitive)
+                .within(window);
+            let reference =
+                CostEvaluator::new(&g, &terms, weights, 10).with_sensitive_nets(&sensitive);
+            let (p1, p2) = (g.point(t1.0, t1.1), g.point(t2.0, t2.1));
+            let label = format!("case {compared}: {nv}x{nh} {t1:?}->{t2:?} {window:?} {weights:?}");
+            let cap = if rng.gen_bool(0.5) {
+                256
+            } else {
+                rng.gen_range(1usize..6)
+            };
+            for pst in [&out.from_v, &out.from_h] {
+                if pst.corners != out.corners {
+                    continue;
+                }
+                let got = enumerate_paths(&tig, net, pst, p1, p2, &fast, cap);
+                let want = enumerate_paths_reference(&tig, net, pst, p1, p2, &reference, cap);
+                assert_eq!(
+                    got.iter().map(key).collect::<Vec<_>>(),
+                    want.iter().map(key).collect::<Vec<_>>(),
+                    "{label} cap {cap}"
+                );
+            }
+            let got = select_best_path(&tig, net, &out, p1, p2, &fast);
+            let want = select_best_path_reference(&tig, net, &out, p1, p2, &reference);
+            assert_eq!(got.as_ref().map(key), want.as_ref().map(key), "{label}");
+            scratch.reclaim(out);
+            compared += 1;
+        }
+        // The cut must actually drop terminals in earnest.
+        assert!(cut > CASES / 4, "{cut}");
     }
 }

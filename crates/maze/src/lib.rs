@@ -14,6 +14,10 @@
 //! `O(area)` grid cells per connection, while the TIG search touches
 //! `O(tracks)` vertices.
 //!
+//! A caller running many searches on one grid passes a [`MazeScratch`]
+//! to the `_with` variants, so each search resets only what the previous
+//! one wrote instead of allocating per-node arrays for the whole grid.
+//!
 //! # Example
 //!
 //! ```
@@ -98,11 +102,14 @@ pub struct MazePath {
     pub nodes: Vec<(usize, usize, Dir)>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// A queued wave node: `node` is the packed index `dist`/`prev` use.
+/// Ordered by priority, then cost (both reversed for the max-heap);
+/// the node never takes part in the comparison.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct QueueEntry {
     priority: Coord,
     cost: Coord,
-    node: (usize, usize, usize),
+    node: u32,
 }
 
 impl Ord for QueueEntry {
@@ -117,6 +124,146 @@ impl Ord for QueueEntry {
 impl PartialOrd for QueueEntry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// Packs node `(i, j, plane)` into its index in `dist`/`prev`.
+#[inline]
+fn pack(nv: usize, i: usize, j: usize, p: usize) -> u32 {
+    ((j * nv + i) * 2 + p) as u32
+}
+
+/// Inverse of [`pack`].
+#[inline]
+fn unpack(nv: usize, k: u32) -> (usize, usize, usize) {
+    let k = k as usize;
+    let rest = k / 2;
+    (rest % nv, rest / nv, k % 2)
+}
+
+/// The plane of node plane index `p` (0 = horizontal, 1 = vertical).
+#[inline]
+fn plane(p: usize) -> Dir {
+    if p == 0 {
+        Dir::Horizontal
+    } else {
+        Dir::Vertical
+    }
+}
+
+/// Calls `visit(i, j, plane, step)` for every move out of node
+/// `(i, j, p)` in the order the wave expands them: along the plane's
+/// direction (lower index first), then the plane change (a via).
+#[inline]
+fn for_each_move(
+    grid: &GridModel,
+    (i, j, p): (usize, usize, usize),
+    via_cost: Coord,
+    mut visit: impl FnMut(usize, usize, usize, Coord),
+) {
+    if p == 0 {
+        // Horizontal plane: move along x.
+        let v = grid.v_tracks();
+        if i > 0 {
+            visit(i - 1, j, 0, v.offset(i) - v.offset(i - 1));
+        }
+        if i + 1 < grid.nv() {
+            visit(i + 1, j, 0, v.offset(i + 1) - v.offset(i));
+        }
+    } else {
+        // Vertical plane: move along y.
+        let h = grid.h_tracks();
+        if j > 0 {
+            visit(i, j - 1, 1, h.offset(j) - h.offset(j - 1));
+        }
+        if j + 1 < grid.nh() {
+            visit(i, j + 1, 1, h.offset(j + 1) - h.offset(j));
+        }
+    }
+    visit(i, j, 1 - p, via_cost);
+}
+
+/// Reusable state of the Lee/A* and soft-path searches: per-node
+/// distance and predecessor arrays, the indices the last search wrote,
+/// and the wave heap.
+///
+/// A search resets only the entries its predecessor touched and
+/// reallocates only when the grid's node count changes, so a caller
+/// that routes many connections on one grid pays for what each wave
+/// reaches rather than for the whole grid. Results never depend on the
+/// scratch's history: [`route_maze`] and [`find_soft_path_filtered`]
+/// are the `_with` searches run on a fresh scratch.
+#[derive(Clone, Debug, Default)]
+pub struct MazeScratch {
+    dist: Vec<Coord>,
+    prev: Vec<u32>,
+    /// Every node whose `dist` left `Coord::MAX` since the last reset.
+    touched: Vec<u32>,
+    heap: BinaryHeap<QueueEntry>,
+}
+
+impl MazeScratch {
+    /// An empty scratch; the first search sizes it to its grid.
+    pub fn new() -> Self {
+        MazeScratch::default()
+    }
+
+    /// Readies the scratch for a search over `nodes` nodes: every `dist`
+    /// is `Coord::MAX`, every `prev` is `u32::MAX`, the heap is empty.
+    fn begin(&mut self, nodes: usize) {
+        // `u32::MAX` is the no-predecessor sentinel.
+        assert!(
+            nodes < u32::MAX as usize,
+            "{nodes} maze nodes overflow u32 node indices"
+        );
+        if self.dist.len() == nodes {
+            for &k in &self.touched {
+                self.dist[k as usize] = Coord::MAX;
+                self.prev[k as usize] = u32::MAX;
+            }
+        } else {
+            self.dist = vec![Coord::MAX; nodes];
+            self.prev = vec![u32::MAX; nodes];
+        }
+        self.touched.clear();
+        self.heap.clear();
+    }
+
+    /// Relaxes node `k`: if `cost` beats its distance, records it with
+    /// predecessor `from` (`u32::MAX` for a source) and queues it at
+    /// `priority`.
+    #[inline]
+    fn improve(&mut self, k: u32, from: u32, cost: Coord, priority: Coord) {
+        let d = &mut self.dist[k as usize];
+        if cost < *d {
+            if *d == Coord::MAX {
+                self.touched.push(k);
+            }
+            *d = cost;
+            self.prev[k as usize] = from;
+            self.heap.push(QueueEntry {
+                priority,
+                cost,
+                node: k,
+            });
+        }
+    }
+
+    /// The node path from a source to `goal`, following `prev`.
+    fn trace(&self, nv: usize, goal: u32) -> Vec<(usize, usize, Dir)> {
+        let mut nodes = Vec::new();
+        let mut cur = goal;
+        loop {
+            let (i, j, p) = unpack(nv, cur);
+            nodes.push((i, j, plane(p)));
+            let pr = self.prev[cur as usize];
+            if pr == u32::MAX {
+                break;
+            }
+            cur = pr;
+        }
+        nodes.reverse();
+        nodes
     }
 }
 
@@ -138,27 +285,31 @@ pub fn route_maze(
     to: Point,
     opts: MazeOptions,
 ) -> Result<MazePath, MazeError> {
+    route_maze_with(grid, net, from, to, opts, &mut MazeScratch::new())
+}
+
+/// [`route_maze`] on a caller-owned [`MazeScratch`], reused across
+/// calls.
+///
+/// # Errors
+///
+/// See [`MazeError`].
+pub fn route_maze_with(
+    grid: &mut GridModel,
+    net: u32,
+    from: Point,
+    to: Point,
+    opts: MazeOptions,
+    scratch: &mut MazeScratch,
+) -> Result<MazePath, MazeError> {
     let src = grid.snap(from).ok_or(MazeError::OffGrid(from))?;
     let dst = grid.snap(to).ok_or(MazeError::OffGrid(to))?;
-    let (nv, nh) = (grid.nv(), grid.nh());
-    let idx = |i: usize, j: usize, p: usize| (j * nv + i) * 2 + p;
-    let passable = |g: &GridModel, i: usize, j: usize, p: usize| match g.state(
-        if p == 0 {
-            Dir::Horizontal
-        } else {
-            Dir::Vertical
-        },
-        i,
-        j,
-    ) {
+    let nv = grid.nv();
+    let passable = |i: usize, j: usize, p: usize| match grid.state(plane(p), i, j) {
         CellState::Free => true,
         CellState::Used(n) => n == net,
         CellState::Blocked => false,
     };
-
-    let mut dist: Vec<Coord> = vec![Coord::MAX; nv * nh * 2];
-    let mut prev: Vec<u32> = vec![u32::MAX; nv * nh * 2];
-    let mut heap = BinaryHeap::new();
     let h = |i: usize, j: usize| -> Coord {
         if opts.astar {
             grid.distance((i, j), dst)
@@ -166,130 +317,49 @@ pub fn route_maze(
             0
         }
     };
+
+    scratch.begin(nv * grid.nh() * 2);
     let mut start_ok = false;
     for p in 0..2 {
-        if passable(grid, src.0, src.1, p) {
-            dist[idx(src.0, src.1, p)] = 0;
-            heap.push(QueueEntry {
-                priority: h(src.0, src.1),
-                cost: 0,
-                node: (src.0, src.1, p),
-            });
+        if passable(src.0, src.1, p) {
+            scratch.improve(pack(nv, src.0, src.1, p), u32::MAX, 0, h(src.0, src.1));
             start_ok = true;
         }
     }
     if !start_ok {
         return Err(MazeError::TerminalBlocked(from));
     }
-    if !(0..2).any(|p| passable(grid, dst.0, dst.1, p)) {
+    if !(0..2).any(|p| passable(dst.0, dst.1, p)) {
         return Err(MazeError::TerminalBlocked(to));
     }
 
     let mut expanded = 0usize;
-    let mut goal: Option<(usize, usize, usize)> = None;
-    while let Some(QueueEntry { cost, node, .. }) = heap.pop() {
-        let (i, j, p) = node;
-        if cost > dist[idx(i, j, p)] {
+    let mut goal: Option<u32> = None;
+    while let Some(QueueEntry { cost, node, .. }) = scratch.heap.pop() {
+        if cost > scratch.dist[node as usize] {
             continue;
         }
         expanded += 1;
+        let (i, j, p) = unpack(nv, node);
         if (i, j) == dst {
             goal = Some(node);
             break;
         }
-        // Neighbour moves along the plane's direction.
-        let push = |grid: &GridModel,
-                    heap: &mut BinaryHeap<QueueEntry>,
-                    dist: &mut Vec<Coord>,
-                    prev: &mut Vec<u32>,
-                    ni: usize,
-                    nj: usize,
-                    np: usize,
-                    step: Coord| {
-            if !passable(grid, ni, nj, np) {
-                return;
+        for_each_move(grid, (i, j, p), opts.via_cost, |ni, nj, np, step| {
+            if passable(ni, nj, np) {
+                let nd = cost + step;
+                scratch.improve(pack(nv, ni, nj, np), node, nd, nd + h(ni, nj));
             }
-            let nd = cost + step;
-            let k = idx(ni, nj, np);
-            if nd < dist[k] {
-                dist[k] = nd;
-                prev[k] = idx(i, j, p) as u32;
-                heap.push(QueueEntry {
-                    priority: nd + h(ni, nj),
-                    cost: nd,
-                    node: (ni, nj, np),
-                });
-            }
-        };
-        if p == 0 {
-            // Horizontal plane: move along x.
-            if i > 0 {
-                let step = grid.v_tracks().offset(i) - grid.v_tracks().offset(i - 1);
-                push(grid, &mut heap, &mut dist, &mut prev, i - 1, j, 0, step);
-            }
-            if i + 1 < nv {
-                let step = grid.v_tracks().offset(i + 1) - grid.v_tracks().offset(i);
-                push(grid, &mut heap, &mut dist, &mut prev, i + 1, j, 0, step);
-            }
-        } else {
-            // Vertical plane: move along y.
-            if j > 0 {
-                let step = grid.h_tracks().offset(j) - grid.h_tracks().offset(j - 1);
-                push(grid, &mut heap, &mut dist, &mut prev, i, j - 1, 1, step);
-            }
-            if j + 1 < nh {
-                let step = grid.h_tracks().offset(j + 1) - grid.h_tracks().offset(j);
-                push(grid, &mut heap, &mut dist, &mut prev, i, j + 1, 1, step);
-            }
-        }
-        // Plane change (via).
-        push(
-            grid,
-            &mut heap,
-            &mut dist,
-            &mut prev,
-            i,
-            j,
-            1 - p,
-            opts.via_cost,
-        );
+        });
     }
 
     let goal = goal.ok_or(MazeError::NoPath)?;
-    // Reconstruct.
-    let mut nodes_rev: Vec<(usize, usize, usize)> = Vec::new();
-    let mut cur = idx(goal.0, goal.1, goal.2);
-    loop {
-        let p = cur % 2;
-        let rest = cur / 2;
-        nodes_rev.push((rest % nv, rest / nv, p));
-        let pr = prev[cur];
-        if pr == u32::MAX {
-            break;
-        }
-        cur = pr as usize;
-    }
-    nodes_rev.reverse();
-    let nodes: Vec<(usize, usize, Dir)> = nodes_rev
-        .iter()
-        .map(|&(i, j, p)| {
-            (
-                i,
-                j,
-                if p == 0 {
-                    Dir::Horizontal
-                } else {
-                    Dir::Vertical
-                },
-            )
-        })
-        .collect();
-
+    let nodes = scratch.trace(nv, goal);
     let route = path_to_route(grid, &nodes);
     occupy_path(grid, net, &nodes);
     Ok(MazePath {
         route,
-        cost: dist[idx(goal.0, goal.1, goal.2)],
+        cost: scratch.dist[goal as usize],
         expanded,
         nodes,
     })
@@ -351,20 +421,41 @@ pub fn find_soft_path_filtered(
     block_penalty: Coord,
     rippable: impl Fn(usize, usize) -> bool,
 ) -> Result<SoftPath, MazeError> {
+    find_soft_path_filtered_with(
+        grid,
+        net,
+        from,
+        to,
+        opts,
+        block_penalty,
+        rippable,
+        &mut MazeScratch::new(),
+    )
+}
+
+/// [`find_soft_path_filtered`] on a caller-owned [`MazeScratch`], reused
+/// across calls.
+///
+/// # Errors
+///
+/// Same as [`find_soft_path`].
+#[allow(clippy::too_many_arguments)]
+pub fn find_soft_path_filtered_with(
+    grid: &GridModel,
+    net: u32,
+    from: Point,
+    to: Point,
+    opts: MazeOptions,
+    block_penalty: Coord,
+    rippable: impl Fn(usize, usize) -> bool,
+    scratch: &mut MazeScratch,
+) -> Result<SoftPath, MazeError> {
     let src = grid.snap(from).ok_or(MazeError::OffGrid(from))?;
     let dst = grid.snap(to).ok_or(MazeError::OffGrid(to))?;
-    let (nv, nh) = (grid.nv(), grid.nh());
-    let idx = |i: usize, j: usize, p: usize| (j * nv + i) * 2 + p;
-    let dir_of = |p: usize| {
-        if p == 0 {
-            Dir::Horizontal
-        } else {
-            Dir::Vertical
-        }
-    };
+    let nv = grid.nv();
     // Entry cost of a cell: None = impassable, Some(extra) otherwise.
     let entry = |i: usize, j: usize, p: usize| -> Option<Coord> {
-        match grid.state(dir_of(p), i, j) {
+        match grid.state(plane(p), i, j) {
             CellState::Free => Some(0),
             CellState::Used(n) if n == net => Some(0),
             CellState::Used(_) if rippable(i, j) => Some(block_penalty),
@@ -373,106 +464,38 @@ pub fn find_soft_path_filtered(
         }
     };
 
-    let mut dist: Vec<Coord> = vec![Coord::MAX; nv * nh * 2];
-    let mut prev: Vec<u32> = vec![u32::MAX; nv * nh * 2];
-    let mut heap: BinaryHeap<QueueEntry> = BinaryHeap::new();
+    scratch.begin(nv * grid.nh() * 2);
     for p in 0..2 {
         if let Some(extra) = entry(src.0, src.1, p) {
-            let d = extra;
-            if d < dist[idx(src.0, src.1, p)] {
-                dist[idx(src.0, src.1, p)] = d;
-                heap.push(QueueEntry {
-                    priority: d,
-                    cost: d,
-                    node: (src.0, src.1, p),
-                });
-            }
+            scratch.improve(pack(nv, src.0, src.1, p), u32::MAX, extra, extra);
         }
     }
-    if heap.is_empty() {
+    if scratch.heap.is_empty() {
         return Err(MazeError::TerminalBlocked(from));
     }
 
-    let mut goal: Option<(usize, usize, usize)> = None;
-    while let Some(QueueEntry { cost, node, .. }) = heap.pop() {
-        let (i, j, p) = node;
-        if cost > dist[idx(i, j, p)] {
+    let mut goal: Option<u32> = None;
+    while let Some(QueueEntry { cost, node, .. }) = scratch.heap.pop() {
+        if cost > scratch.dist[node as usize] {
             continue;
         }
+        let (i, j, p) = unpack(nv, node);
         if (i, j) == dst {
             goal = Some(node);
             break;
         }
-        let mut relax = |ni: usize, nj: usize, np: usize, step: Coord| {
-            let Some(extra) = entry(ni, nj, np) else {
-                return;
-            };
-            let nd = cost + step + extra;
-            let k = idx(ni, nj, np);
-            if nd < dist[k] {
-                dist[k] = nd;
-                prev[k] = idx(i, j, p) as u32;
-                heap.push(QueueEntry {
-                    priority: nd,
-                    cost: nd,
-                    node: (ni, nj, np),
-                });
+        for_each_move(grid, (i, j, p), opts.via_cost, |ni, nj, np, step| {
+            if let Some(extra) = entry(ni, nj, np) {
+                let nd = cost + step + extra;
+                scratch.improve(pack(nv, ni, nj, np), node, nd, nd);
             }
-        };
-        if p == 0 {
-            if i > 0 {
-                relax(
-                    i - 1,
-                    j,
-                    0,
-                    grid.v_tracks().offset(i) - grid.v_tracks().offset(i - 1),
-                );
-            }
-            if i + 1 < nv {
-                relax(
-                    i + 1,
-                    j,
-                    0,
-                    grid.v_tracks().offset(i + 1) - grid.v_tracks().offset(i),
-                );
-            }
-        } else {
-            if j > 0 {
-                relax(
-                    i,
-                    j - 1,
-                    1,
-                    grid.h_tracks().offset(j) - grid.h_tracks().offset(j - 1),
-                );
-            }
-            if j + 1 < nh {
-                relax(
-                    i,
-                    j + 1,
-                    1,
-                    grid.h_tracks().offset(j + 1) - grid.h_tracks().offset(j),
-                );
-            }
-        }
-        relax(i, j, 1 - p, opts.via_cost);
+        });
     }
 
     let goal = goal.ok_or(MazeError::NoPath)?;
-    let mut nodes_rev = Vec::new();
-    let mut cur = idx(goal.0, goal.1, goal.2);
-    loop {
-        let p = cur % 2;
-        let rest = cur / 2;
-        nodes_rev.push((rest % nv, rest / nv, dir_of(p)));
-        let pr = prev[cur];
-        if pr == u32::MAX {
-            break;
-        }
-        cur = pr as usize;
-    }
-    nodes_rev.reverse();
+    let nodes = scratch.trace(nv, goal);
     let mut blockers: Vec<u32> = Vec::new();
-    for &(i, j, d) in &nodes_rev {
+    for &(i, j, d) in &nodes {
         if let CellState::Used(n) = grid.state(d, i, j) {
             if n != net && !blockers.contains(&n) {
                 blockers.push(n);
@@ -480,8 +503,8 @@ pub fn find_soft_path_filtered(
         }
     }
     Ok(SoftPath {
-        cost: dist[idx(goal.0, goal.1, goal.2)],
-        nodes: nodes_rev,
+        cost: scratch.dist[goal as usize],
+        nodes,
         blockers,
     })
 }

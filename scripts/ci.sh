@@ -295,6 +295,22 @@ grep -q "route-suite: deterministic counters match perfbench/counters.json" "$PB
     echo "ci: route-suite counters differ from perfbench/counters.json" >&2
     exit 1
 }
+
+echo "==> counter gate (perfbench route-congested seed 0, traced, vs perfbench/counters.json)"
+# Congested chips are where the Lee fallback and the rip-up soft-path
+# probe do most of their work, so this gate pins their counters too.
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload route-congested --seed 0 --seconds 40 --trace 1 \
+    >"$PB_DIR/out" 2>"$PB_DIR/err" || {
+    cat "$PB_DIR/err" >&2
+    echo "ci: perfbench route-congested run failed" >&2
+    exit 1
+}
+grep -q "route-congested: deterministic counters match perfbench/counters.json" "$PB_DIR/err" || {
+    grep "route-congested" "$PB_DIR/err" >&2
+    echo "ci: route-congested counters differ from perfbench/counters.json" >&2
+    exit 1
+}
 rm -rf "$PB_DIR"
 
 echo "==> no panicking macros reachable from external input (crates/io)"

@@ -4,7 +4,10 @@
 use overcell_router::gen::rng::Rng;
 use overcell_router::geom::{Dir, Interval, Point, Rect};
 use overcell_router::grid::{CellState, GridModel, TrackSet};
-use overcell_router::maze::{find_soft_path, route_maze, MazeOptions};
+use overcell_router::maze::{
+    find_soft_path, find_soft_path_filtered, find_soft_path_filtered_with, route_maze,
+    route_maze_with, MazeError, MazeOptions, MazeScratch,
+};
 use std::collections::BTreeSet;
 
 const CASES: usize = 64;
@@ -215,4 +218,142 @@ fn maze_never_crosses_blocked_interior() {
             }
         }
     }
+}
+
+/// A random `nv × nh` grid at pitch 10: scattered obstacles and wiring
+/// of nets 1–3 on either plane, and sometimes a full-height wall on both
+/// planes that seals the grid into two components.
+fn random_occupied_grid(rng: &mut Rng, nv: usize, nh: usize) -> GridModel {
+    let mut g = GridModel::new(
+        Rect::new(0, 0, 10 * (nv as i64 - 1), 10 * (nh as i64 - 1)),
+        TrackSet::from_pitch(Interval::new(0, 10 * (nh as i64 - 1)), 10),
+        TrackSet::from_pitch(Interval::new(0, 10 * (nv as i64 - 1)), 10),
+    );
+    let density = rng.gen_range(0usize..=35);
+    for _ in 0..nv * nh * density / 100 {
+        let dir = if rng.gen_bool(0.5) {
+            Dir::Horizontal
+        } else {
+            Dir::Vertical
+        };
+        let state = match rng.gen_range(0u32..4) {
+            0 => CellState::Blocked,
+            n => CellState::Used(n),
+        };
+        g.set_state(dir, rng.gen_range(0..nv), rng.gen_range(0..nh), state);
+    }
+    if rng.gen_bool(0.25) {
+        let wall = rng.gen_range(0..nv);
+        for j in 0..nh {
+            for dir in [Dir::Horizontal, Dir::Vertical] {
+                g.set_state(dir, wall, j, CellState::Blocked);
+            }
+        }
+    }
+    g
+}
+
+fn assert_same_grid(a: &GridModel, b: &GridModel, label: &str) {
+    for j in 0..a.nh() {
+        for i in 0..a.nv() {
+            for dir in [Dir::Horizontal, Dir::Vertical] {
+                assert_eq!(a.state(dir, i, j), b.state(dir, i, j), "{label} ({i}, {j})");
+            }
+        }
+    }
+}
+
+#[test]
+fn reused_maze_scratch_matches_a_fresh_one() {
+    const GRIDS: usize = 600;
+    let mut rng = Rng::seed_from_u64(0x6109);
+    // One scratch for every search, as the Level B router holds it.
+    let mut scratch = MazeScratch::new();
+    let (mut ok, mut no_path, mut blocked) = (0usize, 0usize, 0usize);
+    let (mut nv, mut nh) = (2usize, 2usize);
+    for case in 0..GRIDS {
+        // Keep the previous size now and then, so searches on a new grid
+        // also start from a scratch reset in place rather than resized.
+        if !rng.gen_bool(0.3) {
+            nv = rng.gen_range(2usize..=40);
+            nh = rng.gen_range(2usize..=40);
+        }
+        let mut g = random_occupied_grid(&mut rng, nv, nh);
+        for op in 0..rng.gen_range(1usize..=4) {
+            let a = (rng.gen_range(0..nv), rng.gen_range(0..nh));
+            let b = (rng.gen_range(0..nv), rng.gen_range(0..nh));
+            if rng.gen_bool(0.1) {
+                // Seal one terminal on both planes: an early return.
+                let t = if rng.gen_bool(0.5) { a } else { b };
+                for dir in [Dir::Horizontal, Dir::Vertical] {
+                    g.set_state(dir, t.0, t.1, CellState::Blocked);
+                }
+            }
+            let (from, to) = (g.point(a.0, a.1), g.point(b.0, b.1));
+            let opts = MazeOptions {
+                via_cost: rng.gen_range(0i64..30),
+                astar: rng.gen_bool(0.5),
+            };
+            let net = rng.gen_range(1u32..=3);
+            let label = format!("grid {case} op {op}: {nv}x{nh} {a:?}->{b:?} net {net} {opts:?}");
+            if rng.gen_bool(0.5) {
+                let mut fresh_grid = g.clone();
+                let fresh = route_maze(&mut fresh_grid, net, from, to, opts);
+                let reused = route_maze_with(&mut g, net, from, to, opts, &mut scratch);
+                match (&fresh, &reused) {
+                    (Ok(f), Ok(r)) => {
+                        assert_eq!(f.nodes, r.nodes, "{label}");
+                        assert_eq!(f.cost, r.cost, "{label}");
+                        assert_eq!(f.expanded, r.expanded, "{label}");
+                        ok += 1;
+                    }
+                    (Err(f), Err(r)) => {
+                        assert_eq!(f, r, "{label}");
+                        match f {
+                            MazeError::NoPath => no_path += 1,
+                            _ => blocked += 1,
+                        }
+                    }
+                    _ => panic!("{label}: fresh {fresh:?} vs reused {reused:?}"),
+                }
+                assert_same_grid(&fresh_grid, &g, &label);
+            } else {
+                let penalty = rng.gen_range(1i64..500);
+                let parity = rng.gen_range(0usize..3);
+                let rippable = |i: usize, j: usize| (i + j) % 3 != parity;
+                let fresh = find_soft_path_filtered(&g, net, from, to, opts, penalty, rippable);
+                let reused = find_soft_path_filtered_with(
+                    &g,
+                    net,
+                    from,
+                    to,
+                    opts,
+                    penalty,
+                    rippable,
+                    &mut scratch,
+                );
+                match (&fresh, &reused) {
+                    (Ok(f), Ok(r)) => {
+                        assert_eq!(f.nodes, r.nodes, "{label}");
+                        assert_eq!(f.cost, r.cost, "{label}");
+                        assert_eq!(f.blockers, r.blockers, "{label}");
+                        ok += 1;
+                    }
+                    (Err(f), Err(r)) => {
+                        assert_eq!(f, r, "{label}");
+                        match f {
+                            MazeError::NoPath => no_path += 1,
+                            _ => blocked += 1,
+                        }
+                    }
+                    _ => panic!("{label}: fresh {fresh:?} vs reused {reused:?}"),
+                }
+            }
+        }
+    }
+    // Every outcome must occur in earnest.
+    assert!(
+        ok > GRIDS / 2 && no_path > GRIDS / 20 && blocked > GRIDS / 40,
+        "{ok} ok, {no_path} no path, {blocked} terminal blocked"
+    );
 }
