@@ -22,16 +22,7 @@ use ocr_netlist::validate_routed_design;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| match args.get(i + 1) {
-            Some(path) => path.clone(),
-            None => {
-                eprintln!("error: budget_sweep: flag `--json` requires a value");
-                std::process::exit(2);
-            }
-        });
+    let json_path = ocr_bench::json_flag("budget_sweep", &args);
     let mut area_rows: Vec<String> = Vec::new();
     let mut step_rows: Vec<String> = Vec::new();
     let chip = suite::ami33_like();

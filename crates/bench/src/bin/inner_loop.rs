@@ -23,21 +23,8 @@ use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| match args.get(i + 1) {
-            Some(path) => path.clone(),
-            None => {
-                eprintln!("error: inner_loop: flag `--json` requires a value");
-                std::process::exit(2);
-            }
-        });
-    let runs: usize = if std::env::var_os("OCR_BENCH_QUICK").is_some() {
-        1
-    } else {
-        5
-    };
+    let json_path = ocr_bench::json_flag("inner_loop", &args);
+    let runs: usize = if ocr_bench::quick() { 1 } else { 5 };
     println!("Level B inner loop: expanded TIG vertices per second (median of {runs})");
     println!(
         "{:<8} {:>10} {:>12} {:>14}",

@@ -29,18 +29,9 @@ const STRATEGIES: [&str; 5] = [
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| match args.get(i + 1) {
-            Some(path) => path.clone(),
-            None => {
-                eprintln!("error: ordering_portfolio: flag `--json` requires a value");
-                std::process::exit(2);
-            }
-        });
+    let json_path = ocr_bench::json_flag("ordering_portfolio", &args);
     let mut chips = suite::all();
-    if std::env::var_os("OCR_BENCH_QUICK").is_some() {
+    if ocr_bench::quick() {
         chips.truncate(1);
     }
     let mut rows: Vec<String> = Vec::new();

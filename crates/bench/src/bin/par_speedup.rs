@@ -39,26 +39,13 @@ fn median_time(runs: usize, mut f: impl FnMut()) -> Duration {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| match args.get(i + 1) {
-            Some(path) => path.clone(),
-            None => {
-                eprintln!("error: par_speedup: flag `--json` requires a value");
-                std::process::exit(2);
-            }
-        });
+    let json_path = ocr_bench::json_flag("par_speedup", &args);
     let threads: usize = args
         .iter()
         .find(|a| !a.starts_with('-') && Some(a.as_str()) != json_path.as_deref())
         .and_then(|s| s.parse().ok())
         .unwrap_or(4);
-    let runs: usize = if std::env::var_os("OCR_BENCH_QUICK").is_some() {
-        1
-    } else {
-        5
-    };
+    let runs: usize = if ocr_bench::quick() { 1 } else { 5 };
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

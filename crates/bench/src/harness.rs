@@ -57,8 +57,7 @@ pub struct Criterion {
 
 impl Default for Criterion {
     fn default() -> Self {
-        let quick = std::env::args().any(|a| a == "--test")
-            || std::env::var_os("OCR_BENCH_QUICK").is_some();
+        let quick = std::env::args().any(|a| a == "--test") || crate::quick();
         Criterion { quick }
     }
 }

@@ -21,6 +21,28 @@ use ocr_core::{run_analytic_four_layer_estimate, FlowKind, FlowOptions, FlowResu
 use ocr_gen::GeneratedChip;
 use ocr_netlist::{validate_routed_design, RouteMetrics};
 
+/// `true` when `OCR_BENCH_QUICK` is set: benches run each body once
+/// untimed and the binaries take their smallest sample, so CI can
+/// smoke-test them cheaply.
+pub fn quick() -> bool {
+    std::env::var_os("OCR_BENCH_QUICK").is_some()
+}
+
+/// The `FILE` of a `--json FILE` flag in `args`, or `None` without the
+/// flag. A trailing `--json` with no value prints
+/// ``error: <bin>: flag `--json` requires a value`` and exits with
+/// status 2.
+pub fn json_flag(bin: &str, args: &[String]) -> Option<String> {
+    let i = args.iter().position(|a| a == "--json")?;
+    match args.get(i + 1) {
+        Some(path) => Some(path.clone()),
+        None => {
+            eprintln!("error: {bin}: flag `--json` requires a value");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// The three flows' results on one chip.
 #[derive(Debug)]
 pub struct SuiteRun {

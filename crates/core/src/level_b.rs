@@ -77,8 +77,8 @@ pub struct LevelBRouter<'a> {
     /// The run control of the active `route_all_with` call, consulted by
     /// the search internals to charge deterministic steps.
     control: Option<RunControl>,
-    /// Reusable MBFS state (PST arenas, free-run cache, frontier
-    /// buffers), threaded through every window attempt.
+    /// Reusable MBFS state (PST arenas, frontier buffers), threaded
+    /// through every window attempt.
     scratch: SearchScratch,
     /// Reusable Lee/soft-path search state for the maze fallback and the
     /// rip-up probe.

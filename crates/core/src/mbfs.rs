@@ -241,76 +241,8 @@ impl Pst {
     }
 }
 
-/// Memoized free-run lookups for one `(net, window)` search.
-///
-/// Within one [`search_min_corner_paths_with`] call the grid is
-/// immutable and both MBFS passes share the net and window, so a track's
-/// maximal free run through any cross-index inside it is the same run —
-/// the second pass (and re-discoveries within a pass) can reuse the
-/// first's scans. Runs are stored per track slot under a generation
-/// stamp; `begin` invalidates everything in O(1). Impassable
-/// through-cells (`None` results) are deliberately not cached: they are
-/// cheap (one bit probe plus one enum load) and would need a separate
-/// representation.
-#[derive(Clone, Debug, Default)]
-pub struct FreeRunCache {
-    gen: Vec<u32>,
-    runs: Vec<Vec<(u32, u32)>>,
-    cur_gen: u32,
-}
-
-impl FreeRunCache {
-    /// Invalidates the cache for a new `(net, window)` search over
-    /// `nslots` track slots.
-    fn begin(&mut self, nslots: usize) {
-        if self.gen.len() < nslots {
-            self.gen.resize(nslots, 0);
-            self.runs.resize_with(nslots, Vec::new);
-        }
-        if self.cur_gen == u32::MAX {
-            self.gen.iter_mut().for_each(|g| *g = 0);
-            self.cur_gen = 1;
-        } else {
-            self.cur_gen += 1;
-        }
-    }
-
-    /// [`Tig::free_run`] through the cache. `slot` must be the track's
-    /// arena slot id ([`PstStore`] numbering).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn free_run(
-        &mut self,
-        tig: &Tig<'_>,
-        net: u32,
-        dir: Dir,
-        track: usize,
-        slot: Slot,
-        through: usize,
-        win_lo: usize,
-        win_hi: usize,
-    ) -> Option<(usize, usize)> {
-        let s = slot as usize;
-        if self.gen[s] == self.cur_gen {
-            if let Some(&(lo, hi)) = self.runs[s]
-                .iter()
-                .find(|r| r.0 as usize <= through && through <= r.1 as usize)
-            {
-                return Some((lo as usize, hi as usize));
-            }
-        }
-        let run = tig.free_run(net, dir, track, through, win_lo, win_hi)?;
-        if self.gen[s] != self.cur_gen {
-            self.gen[s] = self.cur_gen;
-            self.runs[s].clear();
-        }
-        self.runs[s].push((run.0 as u32, run.1 as u32));
-        Some(run)
-    }
-}
-
-/// Reusable per-router search state: the two PST arenas, the free-run
-/// cache and the MBFS level buffers.
+/// Reusable per-router search state: the two PST arenas and the MBFS
+/// level buffers.
 ///
 /// A [`crate::level_b::LevelBRouter`] holds one of these and threads it
 /// through every window attempt via [`search_min_corner_paths_with`];
@@ -321,7 +253,6 @@ impl FreeRunCache {
 pub struct SearchScratch {
     store_v: PstStore,
     store_h: PstStore,
-    cache: FreeRunCache,
     bfs: BfsBuffers,
 }
 
@@ -488,8 +419,6 @@ pub fn mbfs(
     term2: (usize, usize),
     window: &SearchWindow,
 ) -> Pst {
-    let mut scratch = SearchScratch::new();
-    scratch.cache.begin(tig.grid().nv() + tig.grid().nh());
     mbfs_in(
         tig,
         net,
@@ -497,14 +426,22 @@ pub fn mbfs(
         term1,
         term2,
         window,
-        std::mem::take(&mut scratch.store_v),
-        &mut scratch.cache,
-        &mut scratch.bfs,
+        PstStore::new(),
+        None,
+        &mut BfsBuffers::default(),
     )
 }
 
-/// The MBFS worker: runs one pass using a caller-provided arena, cache
-/// and level buffers, and moves the arena into the returned [`Pst`].
+/// The MBFS worker: runs one pass using a caller-provided arena and
+/// level buffers, and moves the arena into the returned [`Pst`].
+///
+/// `other` is the arena of the connection's search from terminal 1's
+/// other track, if that search already ran. Both searches cover the
+/// same net in the same window over the same grid, so a track's free
+/// run through a cross-index is the same run in both: a track the other
+/// search discovered with a run that contains the wanted cross-index
+/// reuses that run instead of scanning the grid again (see
+/// [`free_run`]).
 ///
 /// The search runs in two passes. *Discovery* expands the frontier level
 /// by level; for each expanded run it scans only the perpendicular
@@ -526,7 +463,7 @@ fn mbfs_in(
     term2: (usize, usize),
     window: &SearchWindow,
     mut store: PstStore,
-    cache: &mut FreeRunCache,
+    other: Option<&PstStore>,
     bfs: &mut BfsBuffers,
 ) -> Pst {
     let start_track = match start_dir {
@@ -566,16 +503,7 @@ fn mbfs_in(
     }
     let (wlo, whi) = window.cross_bounds(start_dir);
     let start_slot = pst.store.slot_of(start);
-    let Some(run0) = cache.free_run(
-        tig,
-        net,
-        start_dir,
-        start_track,
-        start_slot,
-        through1,
-        wlo,
-        whi,
-    ) else {
+    let Some(run0) = free_run(tig, net, other, start, start_slot, through1, (wlo, whi)) else {
         return pst;
     };
     pst.store.insert(start_slot, 0, run0);
@@ -630,7 +558,7 @@ fn mbfs_in(
                     // planes, so this run always exists: a vertex is
                     // discovered by the first frontier vertex with a
                     // usable corner to it, which the replay relies on.
-                    let Some(vrun) = cache.free_run(tig, net, perp, k, v_slot, u.1, plo, phi)
+                    let Some(vrun) = free_run(tig, net, other, (perp, k), v_slot, u.1, (plo, phi))
                     else {
                         continue;
                     };
@@ -656,6 +584,29 @@ fn mbfs_in(
         level += 1;
     }
     pst
+}
+
+/// [`Tig::free_run`] of `track` (arena slot `slot`) through cross-index
+/// `through`, clipped to `bounds`, or the run the connection's other
+/// search stored for the track in `other` when that run contains
+/// `through`.
+#[inline]
+fn free_run(
+    tig: &Tig<'_>,
+    net: u32,
+    other: Option<&PstStore>,
+    (dir, track): VertexKey,
+    slot: Slot,
+    through: usize,
+    (lo, hi): (usize, usize),
+) -> Option<(usize, usize)> {
+    if let Some(store) = other.filter(|store| store.is_live(slot)) {
+        let run = store.run_of(slot);
+        if run.0 <= through && through <= run.1 {
+            return Some(run);
+        }
+    }
+    tig.free_run(net, dir, track, through, lo, hi)
 }
 
 /// The parent replay of a search that reached its targets at level
@@ -726,12 +677,11 @@ pub fn search_min_corner_paths(
     search_min_corner_paths_with(tig, net, term1, term2, window, &mut scratch)
 }
 
-/// Runs both MBFS passes reusing `scratch` (arenas, free-run cache,
-/// level buffers). The arenas travel inside the returned PSTs; hand
-/// them back with [`SearchScratch::reclaim`] once the outcome has been
-/// consumed. The free-run cache is shared by the two passes — they see
-/// the same net, window and (immutable) grid — and invalidated here, at
-/// the start of every search.
+/// Runs both MBFS passes reusing `scratch` (arenas, level buffers). The
+/// arenas travel inside the returned PSTs; hand them back with
+/// [`SearchScratch::reclaim`] once the outcome has been consumed. The
+/// horizontal-track search reuses the free runs the vertical-track
+/// search stored in its arena.
 pub fn search_min_corner_paths_with(
     tig: &Tig<'_>,
     net: u32,
@@ -740,7 +690,6 @@ pub fn search_min_corner_paths_with(
     window: &SearchWindow,
     scratch: &mut SearchScratch,
 ) -> SearchOutcome {
-    scratch.cache.begin(tig.grid().nv() + tig.grid().nh());
     let from_v = mbfs_in(
         tig,
         net,
@@ -749,7 +698,7 @@ pub fn search_min_corner_paths_with(
         term2,
         window,
         std::mem::take(&mut scratch.store_v),
-        &mut scratch.cache,
+        None,
         &mut scratch.bfs,
     );
     let from_h = mbfs_in(
@@ -760,7 +709,7 @@ pub fn search_min_corner_paths_with(
         term2,
         window,
         std::mem::take(&mut scratch.store_h),
-        &mut scratch.cache,
+        Some(&from_v.store),
         &mut scratch.bfs,
     );
     let corners = match (from_v.corners, from_h.corners) {
@@ -930,8 +879,6 @@ pub(crate) mod tests {
         term2: (usize, usize),
         window: &SearchWindow,
     ) -> Pst {
-        let mut cache = FreeRunCache::default();
-        cache.begin(tig.grid().nv() + tig.grid().nh());
         let start_track = match start_dir {
             Dir::Horizontal => term1.1,
             Dir::Vertical => term1.0,
@@ -966,16 +913,7 @@ pub(crate) mod tests {
         }
         let (wlo, whi) = window.cross_bounds(start_dir);
         let start_slot = pst.store.slot_of(start);
-        let Some(run0) = cache.free_run(
-            tig,
-            net,
-            start_dir,
-            start_track,
-            start_slot,
-            through1,
-            wlo,
-            whi,
-        ) else {
+        let Some(run0) = tig.free_run(net, start_dir, start_track, through1, wlo, whi) else {
             return pst;
         };
         pst.store.insert(start_slot, 0, run0);
@@ -1017,9 +955,7 @@ pub(crate) mod tests {
                             Dir::Horizontal => ci,
                             Dir::Vertical => cj,
                         };
-                        let Some(vrun) =
-                            cache.free_run(tig, net, perp, k, v_slot, through, plo, phi)
-                        else {
+                        let Some(vrun) = tig.free_run(net, perp, k, through, plo, phi) else {
                             continue;
                         };
                         pst.store.insert(v_slot, level + 1, vrun);

@@ -314,7 +314,14 @@ fn run_indexed_inner(n: usize, workers: usize, halt_on_trip: bool, run: &(impl F
                                 else {
                                     break;
                                 };
-                                if panicked.lock().map(|g| g.is_some()).unwrap_or(true) {
+                                // Stop at items above the lowest panic so far;
+                                // items below it still run, so the panic that
+                                // surfaces does not depend on scheduling.
+                                let above_panic = panicked
+                                    .lock()
+                                    .map(|g| g.as_ref().is_some_and(|(j, _)| *j < i))
+                                    .unwrap_or(true);
+                                if above_panic {
                                     break;
                                 }
                                 let t0 = active.then(std::time::Instant::now);

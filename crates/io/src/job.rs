@@ -122,10 +122,6 @@ fn sanitize(text: &str) -> String {
 /// name. The batch service consults this before creating per-job
 /// result directories for names that arrived outside a manifest.
 pub fn valid_job_name(name: &str) -> bool {
-    valid_name(name)
-}
-
-fn valid_name(name: &str) -> bool {
     !name.is_empty()
         && !name.starts_with('.')
         && name.len() <= 64
@@ -134,44 +130,103 @@ fn valid_name(name: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
 }
 
+/// `Ok` if `value` is a valid job name ([`valid_job_name`]), else why
+/// the `what` field is refused.
+pub(crate) fn check_name(what: &str, value: &str) -> Result<(), String> {
+    if valid_job_name(value) {
+        Ok(())
+    } else {
+        Err(format!(
+            "bad {what} `{value}` (want [A-Za-z0-9._-]{{1,64}}, no leading dot)"
+        ))
+    }
+}
+
+/// Appends the option tail of `spec` to `out`: ` flow F`, ` order O`,
+/// ` priority P`, ` max-steps N`, ` salvage`, ` verify` and
+/// ` tenant T`, in that order, each only when it differs from the
+/// [`JobSpec::new`] default. Every free-text value goes through
+/// `escape`, the writing format's rule for keeping it one token.
+pub fn write_options(out: &mut String, spec: &JobSpec, escape: impl Fn(&str) -> String) {
+    if spec.flow != "overcell" {
+        let _ = write!(out, " flow {}", escape(&spec.flow));
+    }
+    if let Some(order) = &spec.order {
+        let _ = write!(out, " order {}", escape(order));
+    }
+    if spec.priority != 0 {
+        let _ = write!(out, " priority {}", spec.priority);
+    }
+    if let Some(steps) = spec.max_steps {
+        let _ = write!(out, " max-steps {steps}");
+    }
+    if spec.salvage {
+        out.push_str(" salvage");
+    }
+    if spec.verify {
+        out.push_str(" verify");
+    }
+    if let Some(tenant) = &spec.tenant {
+        let _ = write!(out, " tenant {}", escape(tenant));
+    }
+}
+
+/// Parses an option tail (the tokens after a job's name and chip) onto
+/// `spec`, the inverse of [`write_options`]. Values are taken as they
+/// stand: whether a tenant is a valid name is the caller's check.
+///
+/// # Errors
+///
+/// A message on an unknown option, a missing value, a bad number, or a
+/// repeated option.
+pub fn parse_options<'a>(
+    spec: &mut JobSpec,
+    tokens: impl IntoIterator<Item = &'a str>,
+) -> Result<(), String> {
+    let mut it = tokens.into_iter();
+    let mut seen: Vec<&str> = Vec::new();
+    while let Some(opt) = it.next() {
+        match opt {
+            "salvage" => spec.salvage = true,
+            "verify" => spec.verify = true,
+            "flow" | "order" | "priority" | "max-steps" | "tenant" => {
+                let v = it.next().ok_or_else(|| format!("{opt}: missing value"))?;
+                if seen.contains(&opt) {
+                    return Err(format!("repeated option `{opt}`"));
+                }
+                seen.push(opt);
+                match opt {
+                    "flow" => spec.flow = v.to_string(),
+                    "order" => spec.order = Some(v.to_string()),
+                    "priority" => spec.priority = parse_num(v, "priority")?,
+                    "max-steps" => spec.max_steps = Some(parse_num(v, "max-steps")?),
+                    _ => spec.tenant = Some(v.to_string()),
+                }
+            }
+            other => return Err(format!("unknown job option `{other}`")),
+        }
+    }
+    Ok(())
+}
+
 /// Serializes job specs as an `ocr-jobs-v1` manifest. Output of this
 /// writer always re-parses; callers are responsible for `name` and
-/// `chip` being representable (the parser rejects what `valid_name`
-/// rejects, and a chip path containing whitespace or `#` cannot
-/// round-trip a token-oriented format).
+/// `chip` being representable (the parser rejects what
+/// [`valid_job_name`] rejects, and a chip path containing whitespace or
+/// `#` cannot round-trip a token-oriented format).
 pub fn write_jobs(jobs: &[JobSpec]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{JOBS_MAGIC}");
     for job in jobs {
         let _ = write!(out, "job {} {}", sanitize(&job.name), sanitize(&job.chip));
-        if job.flow != "overcell" {
-            let _ = write!(out, " flow {}", sanitize(&job.flow));
-        }
-        if let Some(order) = &job.order {
-            let _ = write!(out, " order {}", sanitize(order));
-        }
-        if job.priority != 0 {
-            let _ = write!(out, " priority {}", job.priority);
-        }
-        if let Some(steps) = job.max_steps {
-            let _ = write!(out, " max-steps {steps}");
-        }
-        if job.salvage {
-            let _ = write!(out, " salvage");
-        }
-        if job.verify {
-            let _ = write!(out, " verify");
-        }
-        if let Some(tenant) = &job.tenant {
-            let _ = write!(out, " tenant {}", sanitize(tenant));
-        }
-        let _ = writeln!(out);
+        write_options(&mut out, job, sanitize);
+        out.push('\n');
     }
     out
 }
 
 /// Strips the `#` comment and splits one line into tokens.
-fn tokens(line: &str) -> Vec<&str> {
+pub(crate) fn tokens(line: &str) -> Vec<&str> {
     let body = line.split('#').next().unwrap_or("");
     body.split_whitespace().collect()
 }
@@ -183,13 +238,13 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
-fn parse_num<T: std::str::FromStr>(token: &str, what: &str, line: usize) -> Result<T, ParseError>
+fn parse_num<T: std::str::FromStr>(token: &str, what: &str) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
 {
     token
         .parse()
-        .map_err(|e| err(line, format!("bad {what} `{token}`: {e}")))
+        .map_err(|e| format!("bad {what} `{token}`: {e}"))
 }
 
 /// Checks the magic first non-blank, non-comment line, returning the
@@ -228,12 +283,7 @@ pub fn parse_jobs(text: &str) -> Result<Vec<JobSpec>, ParseError> {
             None => continue,
         }
         let name = it.next().ok_or_else(|| err(n, "job: missing name"))?;
-        if !valid_name(name) {
-            return Err(err(
-                n,
-                format!("bad job name `{name}` (want [A-Za-z0-9._-]{{1,64}}, no leading dot)"),
-            ));
-        }
+        check_name("job name", name).map_err(|m| err(n, m))?;
         if jobs.iter().any(|j| j.name == name) {
             return Err(err(n, format!("duplicate job name `{name}`")));
         }
@@ -241,61 +291,9 @@ pub fn parse_jobs(text: &str) -> Result<Vec<JobSpec>, ParseError> {
             .next()
             .ok_or_else(|| err(n, format!("job {name}: missing chip path")))?;
         let mut spec = JobSpec::new(name, chip);
-        let mut seen_flow = false;
-        let mut seen_priority = false;
-        while let Some(opt) = it.next() {
-            match opt {
-                "flow" => {
-                    let v = it.next().ok_or_else(|| err(n, "flow: missing value"))?;
-                    if seen_flow {
-                        return Err(err(n, "repeated option `flow`"));
-                    }
-                    seen_flow = true;
-                    spec.flow = v.to_string();
-                }
-                "order" => {
-                    let v = it.next().ok_or_else(|| err(n, "order: missing value"))?;
-                    if spec.order.is_some() {
-                        return Err(err(n, "repeated option `order`"));
-                    }
-                    spec.order = Some(v.to_string());
-                }
-                "priority" => {
-                    let v = it.next().ok_or_else(|| err(n, "priority: missing value"))?;
-                    if seen_priority {
-                        return Err(err(n, "repeated option `priority`"));
-                    }
-                    seen_priority = true;
-                    spec.priority = parse_num(v, "priority", n)?;
-                }
-                "max-steps" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| err(n, "max-steps: missing value"))?;
-                    if spec.max_steps.is_some() {
-                        return Err(err(n, "repeated option `max-steps`"));
-                    }
-                    spec.max_steps = Some(parse_num(v, "max-steps", n)?);
-                }
-                "salvage" => spec.salvage = true,
-                "verify" => spec.verify = true,
-                "tenant" => {
-                    let v = it.next().ok_or_else(|| err(n, "tenant: missing value"))?;
-                    if spec.tenant.is_some() {
-                        return Err(err(n, "repeated option `tenant`"));
-                    }
-                    if !valid_name(v) {
-                        return Err(err(
-                            n,
-                            format!(
-                                "bad tenant `{v}` (want [A-Za-z0-9._-]{{1,64}}, no leading dot)"
-                            ),
-                        ));
-                    }
-                    spec.tenant = Some(v.to_string());
-                }
-                other => return Err(err(n, format!("unknown job option `{other}`"))),
-            }
+        parse_options(&mut spec, it).map_err(|m| err(n, m))?;
+        if let Some(tenant) = &spec.tenant {
+            check_name("tenant", tenant).map_err(|m| err(n, m))?;
         }
         jobs.push(spec);
     }
@@ -341,7 +339,7 @@ pub fn parse_results(text: &str) -> Result<Vec<JobRecord>, ParseError> {
             None => continue,
         }
         let name = it.next().ok_or_else(|| err(n, "job: missing name"))?;
-        if !valid_name(name) {
+        if !valid_job_name(name) {
             return Err(err(n, format!("bad job name `{name}`")));
         }
         if records.iter().any(|r| r.name == name) {
@@ -371,7 +369,7 @@ pub fn parse_results(text: &str) -> Result<Vec<JobRecord>, ParseError> {
             let v = it
                 .next()
                 .ok_or_else(|| err(n, format!("{field}: missing value")))?;
-            let v: u64 = parse_num(v, field, n)?;
+            let v: u64 = parse_num(v, field).map_err(|m| err(n, m))?;
             match field {
                 "steps" => record.steps = v,
                 "routed" => record.routed = v,

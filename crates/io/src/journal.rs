@@ -12,8 +12,9 @@
 //! r 7 af63bd4c8601b7f4 start 0
 //! ```
 //!
-//! Each record line is `r <len> <fnv64hex> <payload>`: the payload's
-//! byte length, its FNV-1a 64 checksum as 16 hex digits, then the
+//! Each record line is `r <len> <fnv64hex> <payload>`: the
+//! [`crate::frame`] header under tag `r` (the payload's byte length and
+//! its FNV-1a 64 checksum as 16 hex digits), then one space and the
 //! payload itself to end of line. A replay accepts exactly the prefix
 //! of records whose framing checks out; the first torn or
 //! checksum-bad line ends the replay with a typed [`JournalWarning`]
@@ -21,7 +22,7 @@
 //! byte offset of the last good record, so a writer can truncate the
 //! damaged tail and keep appending.
 
-use crate::ckpt::fnv1a_64;
+use crate::frame;
 use std::fmt;
 
 /// Magic first line of an `ocr-journal-v1` file.
@@ -59,36 +60,19 @@ pub struct JournalReplay {
 /// line-oriented framing) are collapsed to spaces before the length
 /// and checksum are computed, so whatever is written always replays.
 pub fn frame_record(payload: &str) -> String {
-    let clean: String = payload
-        .chars()
-        .map(|c| if c.is_control() { ' ' } else { c })
-        .collect();
-    format!("r {} {:016x} {clean}\n", clean.len(), fnv1a_64(&clean))
+    let clean = frame::one_line(payload);
+    format!("{} {clean}\n", frame::header('r', clean.as_bytes()))
 }
 
+/// Splits a record line into its header and payload (the text after
+/// the third space) and checks one against the other.
 fn parse_record(line: &str) -> Result<&str, String> {
-    let rest = line
-        .strip_prefix("r ")
-        .ok_or_else(|| "not a record line".to_string())?;
-    let (len_token, rest) = rest
-        .split_once(' ')
-        .ok_or_else(|| "missing payload length".to_string())?;
-    let len: usize = len_token
-        .parse()
-        .map_err(|e| format!("bad payload length: {e}"))?;
-    let (sum_token, payload) = rest
-        .split_once(' ')
-        .ok_or_else(|| "missing checksum".to_string())?;
-    let sum = u64::from_str_radix(sum_token, 16).map_err(|e| format!("bad checksum: {e}"))?;
-    if payload.len() != len {
-        return Err(format!(
-            "length mismatch: header says {len}, payload is {} byte(s)",
-            payload.len()
-        ));
-    }
-    if fnv1a_64(payload) != sum {
-        return Err("checksum mismatch".to_string());
-    }
+    let Some((i, _)) = line.match_indices(' ').nth(2) else {
+        frame::parse_header('r', line)?;
+        return Err("missing payload".to_string());
+    };
+    let payload = &line[i + 1..];
+    frame::parse_header('r', &line[..i])?.check(payload.as_bytes())?;
     Ok(payload)
 }
 

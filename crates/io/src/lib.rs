@@ -43,6 +43,7 @@
 
 mod atomic;
 pub mod ckpt;
+pub mod frame;
 pub mod job;
 pub mod journal;
 pub mod wire;
@@ -73,6 +74,18 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// The text after the first `n` whitespace-separated tokens of `line`,
+/// so a free-text tail field (a path, a detail) keeps its inner
+/// spacing. `None` when no whitespace follows the `n`-th token.
+pub fn after_tokens(line: &str, n: usize) -> Option<&str> {
+    let mut rest = line.trim_start();
+    for _ in 0..n {
+        let idx = rest.find(char::is_whitespace)?;
+        rest = rest[idx..].trim_start();
+    }
+    Some(rest)
+}
 
 fn layer_name(l: Layer) -> &'static str {
     match l {

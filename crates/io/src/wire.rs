@@ -9,8 +9,9 @@
 //! f <len> <fnv64hex>\n<payload bytes>\n
 //! ```
 //!
-//! The header names the payload's byte length and its FNV-1a 64
-//! checksum (16 hex digits); the payload follows verbatim — it may
+//! The [`crate::frame`] header under tag `f` names the payload's byte
+//! length and its FNV-1a 64 checksum (16 hex digits); the payload
+//! follows verbatim on the next line — it may
 //! contain newlines, so a submit frame can carry a whole `.ocr` chip —
 //! and a final newline closes the frame. Client-to-server payloads are
 //! requests ([`Request`]): `submit`, `ping`, `shutdown`. Server-to-
@@ -23,8 +24,9 @@
 //! field larger than its `max_frame` budget *before* reading the body,
 //! so a hostile header cannot balloon memory.
 
-use crate::ckpt::fnv1a_64;
-use crate::job::{parse_jobs, JobSpec, JOBS_MAGIC};
+use crate::after_tokens;
+use crate::frame::{self, one_line};
+use crate::job::{self, JobSpec};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -130,7 +132,8 @@ fn io_error(e: std::io::Error, context: &str) -> WireError {
 /// Renders one frame (header, payload, trailing newline) as bytes.
 pub fn frame(payload: &str) -> Vec<u8> {
     let bytes = payload.as_bytes();
-    let mut out = format!("f {} {:016x}\n", bytes.len(), fnv1a_64(bytes)).into_bytes();
+    let mut out = frame::header('f', bytes).into_bytes();
+    out.push(b'\n');
     out.extend_from_slice(bytes);
     out.push(b'\n');
     out
@@ -211,29 +214,14 @@ pub fn read_frame(r: &mut dyn Read, max_frame: usize) -> Result<Option<String>, 
     };
     let header =
         std::str::from_utf8(&header).map_err(|_| WireError::BadHeader("not UTF-8".to_string()))?;
-    let rest = header
-        .strip_prefix("f ")
-        .ok_or_else(|| WireError::BadHeader("not a frame line".to_string()))?;
-    let (len_token, sum_token) = rest
-        .split_once(' ')
-        .ok_or_else(|| WireError::BadHeader("missing checksum".to_string()))?;
-    let len: u64 = len_token
-        .parse()
-        .map_err(|e| WireError::BadHeader(format!("bad payload length: {e}")))?;
-    let sum = u64::from_str_radix(sum_token, 16)
-        .map_err(|e| WireError::BadHeader(format!("bad checksum: {e}")))?;
-    if sum_token.len() != 16 {
-        return Err(WireError::BadHeader(
-            "checksum is not 16 hex digits".to_string(),
-        ));
-    }
-    if len > max_frame as u64 {
+    let header = frame::parse_header('f', header).map_err(WireError::BadHeader)?;
+    if header.len > max_frame as u64 {
         return Err(WireError::Oversized {
-            len,
+            len: header.len,
             max: max_frame,
         });
     }
-    let mut payload = vec![0u8; len as usize];
+    let mut payload = vec![0u8; header.len as usize];
     r.read_exact(&mut payload)
         .map_err(|e| io_error(e, "the frame payload"))?;
     let mut newline = [0u8; 1];
@@ -244,7 +232,8 @@ pub fn read_frame(r: &mut dyn Read, max_frame: usize) -> Result<Option<String>, 
             "payload not followed by a newline (length mismatch)".to_string(),
         ));
     }
-    if fnv1a_64(&payload) != sum {
+    // Exactly `len` bytes were read, so only the checksum can differ.
+    if header.check(&payload).is_err() {
         return Err(WireError::ChecksumMismatch);
     }
     String::from_utf8(payload)
@@ -269,60 +258,39 @@ pub enum Request {
     Shutdown,
 }
 
-/// Renders a submit request payload: the job line (reusing the
-/// `ocr-jobs-v1` option grammar, minus the chip path) followed by the
-/// chip text.
+/// Renders a submit request payload: the job line (the `ocr-jobs-v1`
+/// option grammar with values written raw, minus the chip path)
+/// followed by the chip text.
 pub fn submit_payload(spec: &JobSpec, chip_text: &str) -> String {
     let mut head = format!("submit {}", spec.name);
-    if spec.flow != "overcell" {
-        head.push_str(&format!(" flow {}", spec.flow));
-    }
-    if let Some(order) = &spec.order {
-        head.push_str(&format!(" order {order}"));
-    }
-    if spec.priority != 0 {
-        head.push_str(&format!(" priority {}", spec.priority));
-    }
-    if let Some(steps) = spec.max_steps {
-        head.push_str(&format!(" max-steps {steps}"));
-    }
-    if spec.salvage {
-        head.push_str(" salvage");
-    }
-    if spec.verify {
-        head.push_str(" verify");
-    }
-    if let Some(tenant) = &spec.tenant {
-        head.push_str(&format!(" tenant {tenant}"));
-    }
+    job::write_options(&mut head, spec, str::to_string);
     format!("{head}\n{chip_text}")
 }
 
-/// Parses a request payload. The submit job line is validated by the
-/// `ocr-jobs-v1` parser itself (same names, same options, same
-/// duplicate-option rejection), so the wire cannot smuggle a spec the
+/// Parses a request payload. The submit job line goes through the
+/// `ocr-jobs-v1` grammar itself (same `#` comments, names, options and
+/// repeated-option rejection), so the wire cannot smuggle a spec the
 /// manifest format would refuse.
 pub fn parse_request(payload: &str) -> Result<Request, WireError> {
     let (head, body) = match payload.split_once('\n') {
         Some((head, body)) => (head, Some(body)),
         None => (payload, None),
     };
-    let mut tokens = head.split_whitespace();
-    match tokens.next() {
+    match head.split_whitespace().next() {
         Some("ping") => Ok(Request::Ping),
         Some("shutdown") => Ok(Request::Shutdown),
         Some("submit") => {
+            let bad = |message: String| WireError::BadPayload(format!("submit: {message}"));
+            let mut tokens = job::tokens(head).into_iter().skip(1);
             let name = tokens
                 .next()
-                .ok_or_else(|| WireError::BadPayload("submit: missing job name".to_string()))?;
-            let rest: Vec<&str> = tokens.collect();
-            let doc = format!("{JOBS_MAGIC}\njob {name} - {}\n", rest.join(" "));
-            let mut specs = parse_jobs(&doc)
-                .map_err(|e| WireError::BadPayload(format!("submit: {}", e.message)))?;
-            let spec = match specs.pop() {
-                Some(spec) => spec,
-                None => return Err(WireError::BadPayload("submit: no job parsed".to_string())),
-            };
+                .ok_or_else(|| bad("missing job name".to_string()))?;
+            job::check_name("job name", name).map_err(bad)?;
+            let mut spec = JobSpec::new(name, "-");
+            job::parse_options(&mut spec, tokens).map_err(bad)?;
+            if let Some(tenant) = &spec.tenant {
+                job::check_name("tenant", tenant).map_err(bad)?;
+            }
             let chip = body.unwrap_or("");
             if chip.trim().is_empty() {
                 return Err(WireError::BadPayload(
@@ -405,14 +373,6 @@ pub enum Response {
     Closing,
 }
 
-/// One-line free text: control characters collapse to spaces so a
-/// detail can never masquerade as protocol structure.
-fn one_line(text: &str) -> String {
-    text.chars()
-        .map(|c| if c.is_control() { ' ' } else { c })
-        .collect()
-}
-
 /// Renders a response payload.
 pub fn response_payload(response: &Response) -> String {
     match response {
@@ -443,16 +403,6 @@ pub fn response_payload(response: &Response) -> String {
         Response::Pong => "pong".to_string(),
         Response::Closing => "closing".to_string(),
     }
-}
-
-/// The payload text after its first `n` whitespace-separated tokens.
-fn after_tokens(payload: &str, n: usize) -> Option<&str> {
-    let mut rest = payload.trim_start();
-    for _ in 0..n {
-        let idx = rest.find(char::is_whitespace)?;
-        rest = rest[idx..].trim_start();
-    }
-    Some(rest)
 }
 
 /// Parses a response payload (the client half of the protocol).
@@ -611,10 +561,23 @@ mod tests {
             ("submit a\n", "missing chip text"),
             ("submit a priority x\nchip", "bad priority"),
             ("submit a tenant\nchip", "tenant: missing value"),
+            ("submit a tenant .x\nchip", "bad tenant"),
+            ("submit a flow x flow y\nchip", "repeated option `flow`"),
         ] {
             let err = parse_request(payload).expect_err(payload);
             assert!(matches!(err, WireError::BadPayload(_)), "{payload:?}");
             assert!(err.to_string().contains(needle), "{payload:?} -> {err}");
+        }
+    }
+
+    #[test]
+    fn submit_head_takes_manifest_comments() {
+        match parse_request("submit alpha priority 2 # resubmitted\nchip").expect("parses") {
+            Request::Submit(spec, _) => {
+                assert_eq!(spec.name, "alpha");
+                assert_eq!(spec.priority, 2);
+            }
+            other => panic!("{other:?}"),
         }
     }
 

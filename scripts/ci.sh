@@ -313,10 +313,11 @@ grep -q "route-congested: deterministic counters match perfbench/counters.json" 
 }
 rm -rf "$PB_DIR"
 
-echo "==> no panicking macros reachable from external input (crates/io)"
-# The parsers take untrusted text; their non-test code must contain no
-# unwrap/expect/panic!. (Everything before the #[cfg(test)] marker.)
-for f in crates/io/src/*.rs; do
+echo "==> no panicking macros reachable from external input (crates/io, serve journal)"
+# The parsers take untrusted text, and the serve journal replays on-disk
+# bytes; their non-test code must contain no unwrap/expect/panic!.
+# (Everything before the #[cfg(test)] marker.)
+for f in crates/io/src/*.rs crates/serve/src/journal.rs; do
     if sed -n '1,/#\[cfg(test)\]/p' "$f" \
         | grep -n '\.unwrap()\|\.expect(\|panic!('; then
         echo "ci: panicking macro in $f non-test code" >&2
